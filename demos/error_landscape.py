@@ -9,7 +9,7 @@ closed-form estimates.
 
 import numpy as np
 
-from slabwald.errors import elc_force_estimate, image_truncation_force
+from slabwald.errors import elc_energy_estimate, image_truncation_force
 from slabwald.harness import SweepConfig, run_sweep
 
 GEOM = (10.0, 10.0, 0.5)
@@ -27,7 +27,7 @@ print(f"{'M':>3} {'measured':>12} {'truncation':>12} {'replica':>12}")
 for r in rows:
     m = int(r.value)
     trunc = image_truncation_force(m, GAMMA, GAMMA, GEOM[2], *GEOM[:2])
-    elc = elc_force_estimate(m, GAMMA, GAMMA, GEOM[2], *GEOM[:2], LZ)
+    elc = elc_energy_estimate(m, GAMMA, GAMMA, GEOM[2], *GEOM[:2], LZ)
     print(f"{m:3d} {r.rel_err:12.3e} {trunc:12.3e} {elc:12.3e}")
 
 errs = np.array([r.rel_err for r in rows])

@@ -9,13 +9,13 @@ from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
                    EwaldParams, ImageCharge, Violation, image_position,
                    image_series, read_system, reflection_factors, validate,
                    write_system)
-from .errors import (ErrorBudget, elc_energy_estimate, elc_force_estimate,
-                     image_truncation_energy, image_truncation_force,
-                     leading_order, splitting_error, total_budget)
+from .errors import (ErrorBudget, elc_energy_estimate, image_truncation_energy,
+                     image_truncation_force, leading_order, splitting_error,
+                     total_budget, trapezoid_remainder_estimate)
 from .ewald2d import (energy_homogeneous, energy_icm, forces_fd_check,
                       g0_alpha, g_alpha, icm_level_sweep, spectral_image_energy)
 from .ewald3d import (CorrectionFlags, elc_correction, fourier3d_energy, solve,
-                      solve_levels, trapezoid_remainder_estimate, yb_correction)
+                      solve_levels, yb_correction)
 from .harness import (SweepConfig, SweepRow, fit_decay, gen_system,
                       parse_config, rows_to_csv, run_sweep)
 from .tuner import (ToleranceRequest, TuneResult, select_all, select_Lz,
@@ -28,13 +28,13 @@ __all__ = [
     "EwaldParams", "ImageCharge", "Violation", "image_position",
     "image_series", "read_system", "reflection_factors", "validate",
     "write_system",
-    "ErrorBudget", "elc_energy_estimate", "elc_force_estimate",
-    "image_truncation_energy", "image_truncation_force", "leading_order",
-    "splitting_error", "total_budget",
+    "ErrorBudget", "elc_energy_estimate", "image_truncation_energy",
+    "image_truncation_force", "leading_order", "splitting_error",
+    "total_budget", "trapezoid_remainder_estimate",
     "energy_homogeneous", "energy_icm", "forces_fd_check", "g0_alpha",
     "g_alpha", "icm_level_sweep", "spectral_image_energy",
     "CorrectionFlags", "elc_correction", "fourier3d_energy", "solve",
-    "solve_levels", "trapezoid_remainder_estimate", "yb_correction",
+    "solve_levels", "yb_correction",
     "SweepConfig", "SweepRow", "fit_decay", "gen_system", "parse_config",
     "rows_to_csv", "run_sweep",
     "ToleranceRequest", "TuneResult", "select_all", "select_Lz", "select_M",

@@ -113,6 +113,21 @@ def image_z_offsets(level: int, height: float) -> tuple[float, float]:
     return (2.0 * hi * height, -2.0 * lo * height)
 
 
+def image_levels(spec: DielectricSpec, M: int, height: float) -> tuple[np.ndarray, np.ndarray]:
+    """The image series as (M+1, 2) arrays scale[l, side] and offset[l, side].
+
+    side 0 is the plus image, side 1 the minus image; level l maps z to
+    (-1)^l z + offset.  Level 0 is the source itself, an ordinary image with
+    scale (1, 0) and offset 0.  Entries with scale 0 are images that do not
+    exist; callers prune them.
+    """
+    if M < 0:
+        raise DomainError("M must be >= 0")
+    scale = np.array([(1.0, 0.0)] + [image_scales(spec, l) for l in range(1, M + 1)])
+    offset = np.array([image_z_offsets(l, height) for l in range(M + 1)])
+    return scale, offset
+
+
 @dataclass(frozen=True)
 class ImageCharge:
     """One reflected image of a source particle.

@@ -97,14 +97,6 @@ def elc_energy_estimate(M: int, gamma_u: float, gamma_d: float, H: float,
     return prefactor * total
 
 
-def elc_force_estimate(M: int, gamma_u: float, gamma_d: float, H: float,
-                       L_x: float, L_y: float, L_z: float,
-                       prefactor: float = 1.0) -> float:
-    """Force variant; asymptotically identical to the energy estimate."""
-    return elc_energy_estimate(M, gamma_u, gamma_d, H, L_x, L_y, L_z,
-                               prefactor=prefactor)
-
-
 def classify_regime(g_u: float, g_d: float) -> str:
     """Amplification regime of the layer-coupling error vs image level count."""
     gg = abs(g_u * g_d)
@@ -153,6 +145,11 @@ def splitting_error(s: float) -> float:
     return math.exp(-s * s) / (s * s)
 
 
+def trapezoid_remainder_estimate(params: EwaldParams, H: float) -> float:
+    """Magnitude of the continuum-vs-discrete k_z remainder, e^{-a^2 (L_z - H)^2}."""
+    return math.exp(-((params.alpha * (params.L_z - H)) ** 2))
+
+
 def total_budget(params: EwaldParams, spec: DielectricSpec,
                  geometry: tuple[float, float, float],
                  prefactor: float = 1.0) -> ErrorBudget:
@@ -171,7 +168,7 @@ def total_budget(params: EwaldParams, spec: DielectricSpec,
             prefactor=prefactor),
         elc_base=prefactor * base,
         elc_image=max(elc_total - prefactor * base, 0.0),
-        trapezoidal=math.exp(-((params.alpha * (params.L_z - H)) ** 2)),
+        trapezoidal=trapezoid_remainder_estimate(params, H),
         regime=classify_regime(g_u, g_d),
         g_u=g_u,
         g_d=g_d,

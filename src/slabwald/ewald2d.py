@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import erf, erfc, erfcx
 
 from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
-                   EwaldParams, image_scales, image_z_offsets)
+                   EwaldParams, image_levels, image_scales)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -74,32 +74,20 @@ class ImageTable:
 
 def build_image_table(system: ChargeSystem, spec: DielectricSpec, M: int) -> ImageTable:
     n = system.n
-    z0 = system.positions[:, 2]
-    src = [np.arange(n)]
-    weight = [np.ones(n)]
-    z = [z0.copy()]
-    z_off = [np.zeros(n)]
-    parity = [np.ones(n)]
-    level = [np.zeros(n, dtype=int)]
-    starts = [0, n]
-    for l in range(1, M + 1):
-        g_plus, g_minus = image_scales(spec, l)
-        c_plus, c_minus = image_z_offsets(l, system.height)
-        par = -1.0 if l % 2 else 1.0
-        for g, c in ((g_plus, c_plus), (g_minus, c_minus)):
-            if g == 0.0:
-                continue
-            src.append(np.arange(n))
-            weight.append(np.full(n, g))
-            z.append(par * z0 + c)
-            z_off.append(np.full(n, c))
-            parity.append(np.full(n, par))
-            level.append(np.full(n, l, dtype=int))
-        starts.append(starts[-1] + (0 if g_plus == 0 else n) + (0 if g_minus == 0 else n))
-    return ImageTable(np.concatenate(src), np.concatenate(weight),
-                      np.concatenate(z), np.concatenate(z_off),
-                      np.concatenate(parity), np.concatenate(level),
-                      np.array(starts))
+    scale, offset = image_levels(spec, M, system.height)
+    level, side = np.nonzero(scale)  # existing images, by level then plus/minus
+    parity = np.repeat(1.0 - 2.0 * (level % 2), n)
+    z_off = np.repeat(offset[level, side], n)
+    src = np.tile(np.arange(n), len(level))
+    starts = n * np.concatenate([[0], np.cumsum(np.count_nonzero(scale, axis=1))])
+    return ImageTable(src, np.repeat(scale[level, side], n),
+                      parity * system.positions[src, 2] + z_off, z_off, parity,
+                      np.repeat(level, n), starts)
+
+
+def self_energy(system: ChargeSystem, alpha: float) -> float:
+    """Ewald self-interaction term, -alpha/sqrt(pi) sum_i q_i^2."""
+    return -alpha / SQRT_PI * float(np.sum(system.charges ** 2))
 
 
 def _half_plane_hvectors(lx: float, ly: float, k_c: float) -> np.ndarray:
@@ -117,12 +105,40 @@ def _half_plane_hvectors(lx: float, ly: float, k_c: float) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, 2))
 
 
+def _level_sums(table, coeff, kernel, grad):
+    """Per-level energies and forces of a pair sum over (particle i, table entry).
+
+    coeff (N, E) holds the charge products, kernel (N, E) the pair energy
+    kernel, and grad, when forces are wanted, the per-axis (N, E) kernel
+    gradients with respect to r_i (None for an axis with no force).  Each
+    gradient acts on its target particle i and, since the separation depends
+    on the source position through the affine image map, on the entry's
+    source, with the sign of the image's z-parity along z.
+    """
+    levels = [slice(a, b) for a, b in zip(table.starts[:-1], table.starts[1:])]
+    per_entry = (coeff * kernel).sum(axis=0)
+    e_levels = np.array([per_entry[sl].sum() for sl in levels])
+    if grad is None:
+        return e_levels, None
+    f_levels = np.zeros((len(levels), coeff.shape[0], 3))
+    for ax, g_ax in enumerate(grad):
+        if g_ax is None:
+            continue
+        g_ax = coeff * g_ax
+        for l, sl in enumerate(levels):
+            src_sum = g_ax[:, sl].sum(axis=0)
+            if ax == 2:
+                src_sum *= table.parity[sl]
+            f_levels[l, :, ax] -= g_ax[:, sl].sum(axis=1)
+            np.add.at(f_levels[l, :, ax], table.src[sl], src_sum)
+    return e_levels, f_levels
+
+
 def _real_space_levels(system, table, params, compute_forces):
     """Per-level real-space energies and forces (short-range erfc sum)."""
     lx, ly = system.lx, system.ly
     alpha, r_c = params.alpha, params.r_c
     n = system.n
-    n_levels = len(table.starts) - 1
     pos = system.positions
     q = system.charges
     qi = q[:, None]
@@ -139,8 +155,6 @@ def _real_space_levels(system, table, params, compute_forces):
 
     self_mask = (table.level[None, :] == 0) & (np.arange(n)[:, None] == table.src[None, :])
 
-    e_levels = np.zeros(n_levels)
-    f_levels = np.zeros((n_levels, n, 3)) if compute_forces else None
     pair_e = np.zeros_like(dz)
     grad = np.zeros((3,) + dz.shape) if compute_forces else None
 
@@ -168,34 +182,13 @@ def _real_space_levels(system, table, params, compute_forces):
                 grad[1] += dphi_over_r * dy
                 grad[2] += dphi_over_r * dz
 
-    coeff = 0.5 * qi * qe
-    per_entry = (coeff * pair_e).sum(axis=0)
-    if compute_forces:
-        gx = coeff * grad[0]
-        gy = coeff * grad[1]
-        gz = coeff * grad[2]
-    for l in range(n_levels):
-        sl = slice(table.starts[l], table.starts[l + 1])
-        e_levels[l] = per_entry[sl].sum()
-        if compute_forces:
-            # target slot: -d/dr_i, both (i,e) and the mirrored (e,i) term halves
-            f_levels[l, :, 0] -= gx[:, sl].sum(axis=1)
-            f_levels[l, :, 1] -= gy[:, sl].sum(axis=1)
-            f_levels[l, :, 2] -= gz[:, sl].sum(axis=1)
-            # source slot: separation depends on r_src through the affine image map
-            np.add.at(f_levels[l, :, 0], table.src[sl], gx[:, sl].sum(axis=0))
-            np.add.at(f_levels[l, :, 1], table.src[sl], gy[:, sl].sum(axis=0))
-            np.add.at(f_levels[l, :, 2], table.src[sl],
-                      gz[:, sl].sum(axis=0) * table.parity[sl])
-    return e_levels, f_levels
+    return _level_sums(table, 0.5 * qi * qe, pair_e, grad)
 
 
 def _fourier_levels(system, table, params, compute_forces):
     """Per-level k!=0 Fourier energies/forces (planewise kernel sum)."""
     lx, ly = system.lx, system.ly
     alpha = params.alpha
-    n = system.n
-    n_levels = len(table.starts) - 1
     pos = system.positions
     q = system.charges
     # full ordered double sum (i, entry): no 1/2 here, unlike the real-space term
@@ -228,51 +221,19 @@ def _fourier_levels(system, table, params, compute_forces):
             acc[1] += -hy * s_g
             acc[2] += pref * cphase * (h * gm)
 
-    e_levels = np.zeros(n_levels)
-    f_levels = np.zeros((n_levels, n, 3)) if compute_forces else None
-    per_entry = (coeff * acc_e).sum(axis=0)
-    if compute_forces:
-        gx = coeff * acc[0]
-        gy = coeff * acc[1]
-        gz = coeff * acc[2]
-    for l in range(n_levels):
-        sl = slice(table.starts[l], table.starts[l + 1])
-        e_levels[l] = per_entry[sl].sum()
-        if compute_forces:
-            f_levels[l, :, 0] -= gx[:, sl].sum(axis=1)
-            f_levels[l, :, 1] -= gy[:, sl].sum(axis=1)
-            f_levels[l, :, 2] -= gz[:, sl].sum(axis=1)
-            np.add.at(f_levels[l, :, 0], table.src[sl], gx[:, sl].sum(axis=0))
-            np.add.at(f_levels[l, :, 1], table.src[sl], gy[:, sl].sum(axis=0))
-            np.add.at(f_levels[l, :, 2], table.src[sl],
-                      (gz[:, sl] * table.parity[None, sl]).sum(axis=0))
-    return e_levels, f_levels
+    return _level_sums(table, coeff, acc_e, acc if compute_forces else None)
 
 
 def _j0_levels(system, table, params, compute_forces):
     """Per-level zero-mode correction (h = 0 term of the Fourier sum)."""
     lx, ly = system.lx, system.ly
     alpha = params.alpha
-    n = system.n
-    n_levels = len(table.starts) - 1
     q = system.charges
     coeff = -(math.pi / (lx * ly)) * q[:, None] * (table.weight * q[table.src])[None, :]
     zd = system.positions[:, 2:3] - table.z[None, :]
 
-    g0 = g0_alpha(zd, alpha)
-    e_levels = np.zeros(n_levels)
-    f_levels = np.zeros((n_levels, n, 3)) if compute_forces else None
-    per_entry = (coeff * g0).sum(axis=0)
-    if compute_forces:
-        gz = coeff * erf(alpha * zd)  # d/dz of the zero-mode kernel
-    for l in range(n_levels):
-        sl = slice(table.starts[l], table.starts[l + 1])
-        e_levels[l] = per_entry[sl].sum()
-        if compute_forces:
-            f_levels[l, :, 2] -= gz[:, sl].sum(axis=1)
-            np.add.at(f_levels[l, :, 2], table.src[sl],
-                      (gz[:, sl] * table.parity[None, sl]).sum(axis=0))
-    return e_levels, f_levels
+    grad = (None, None, erf(alpha * zd)) if compute_forces else None  # d/dz of g0_alpha
+    return _level_sums(table, coeff, g0_alpha(zd, alpha), grad)
 
 
 @dataclass(frozen=True)
@@ -302,7 +263,7 @@ def icm_level_sweep(system: ChargeSystem, spec: DielectricSpec,
     e_real, f_real = _real_space_levels(system, table, params, compute_forces)
     e_four, f_four = _fourier_levels(system, table, params, compute_forces)
     e_j0, f_j0 = _j0_levels(system, table, params, compute_forces)
-    self_e = -params.alpha / SQRT_PI * float(np.sum(system.charges ** 2))
+    self_e = self_energy(system, params.alpha)
 
     # table blocks are indexed by physical level directly (empty blocks allowed)
     term_e = {"real": e_real, "fourier": e_four, "j0": e_j0,

@@ -5,6 +5,12 @@ padded cell (L_x, L_y, L_z) against image-aware structure factors, plus a
 k=0-mode (YB) term and an inter-replica coupling (ELC) term, each independently
 switchable.  The real-space and self terms are shared with the reference solver.
 
+Every term reads the image series from one per-level table,
+`core.image_levels` (scale and z offset per level and plus/minus side), with no
+loop over levels of its own, and reports either its value at level M or its
+cumulative values at every level 0..M.  `solve` and `solve_levels` are two
+readings of the one evaluation in `_terms`.
+
 Everything is factored through per-particle structure factors, so cost is
 O(N · #k) rather than O(N^2 · #k), and per-image-level reductions come for free.
 """
@@ -17,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
-                   EwaldParams, image_scales, image_z_offsets)
-from .ewald2d import SQRT_PI, _half_plane_hvectors, _real_space_levels, build_image_table
+                   EwaldParams, image_levels)
+from .ewald2d import (_half_plane_hvectors, _real_space_levels, build_image_table,
+                      self_energy)
 
 ELC_TERM_FLOOR = 1e-18
 # complex elements per chunk of modes: bounds the temporaries of the contractions
@@ -40,22 +47,12 @@ def _level_structure_factors(spec: DielectricSpec, M: int, kz: np.ndarray,
     rho evaluated at (-k_x, -k_y, k_z): even image levels flip nothing in z,
     odd levels reflect z and so pair with the in-plane-conjugated sum.
     """
-    nz = len(kz)
-    levels = M + 1
-    sa = np.zeros((levels, nz), dtype=complex)
-    sb = np.zeros((levels, nz), dtype=complex)
-    sa[0] = 1.0
-    for l in range(1, M + 1):
-        g_plus, g_minus = image_scales(spec, l)
-        c_plus, c_minus = image_z_offsets(l, H)
-        if g_plus == 0.0 and g_minus == 0.0:
-            continue
-        if l % 2 == 0:
-            sa[l] = g_plus * np.exp(-1j * kz * c_plus) + g_minus * np.exp(-1j * kz * c_minus)
-        else:
-            sb[l] = g_plus * np.exp(-1j * kz * c_plus) + g_minus * np.exp(-1j * kz * c_minus)
-    sa = np.cumsum(sa, axis=0)
-    sb = np.cumsum(sb, axis=0)
+    scale, offset = image_levels(spec, M, H)
+    terms = (scale[:, 0, None] * np.exp(-1j * kz * offset[:, 0, None])
+             + scale[:, 1, None] * np.exp(-1j * kz * offset[:, 1, None]))
+    odd = (np.arange(M + 1) % 2 == 1)[:, None]
+    sa = np.cumsum(np.where(odd, 0.0, terms), axis=0)
+    sb = np.cumsum(np.where(odd, terms, 0.0), axis=0)
     if not cumulative:
         sa, sb = sa[-1:], sb[-1:]
     return sa, sb
@@ -150,81 +147,63 @@ def fourier3d_energy(system: ChargeSystem, spec: DielectricSpec,
     """
     energies, forces = _fourier3d_core(system, spec, params, cumulative=False,
                                        compute_forces=compute_forces)
-    self_e = -params.alpha / SQRT_PI * float(np.sum(system.charges ** 2))
     f = forces[0] if compute_forces else np.zeros((system.n, 3))
-    return float(energies[0]) + self_e, f
+    return float(energies[0]) + self_energy(system, params.alpha), f
 
 
 def yb_correction(system: ChargeSystem, spec: DielectricSpec, M: int, L_z: float,
                   compute_forces: bool = True, per_level: bool = False):
     """k=0-mode dipole correction of the padded-box sum, factored to O(N).
 
-    U = (2 pi / V) (sum_i q_i z_i) (sum_j q_j [z_j + images]); image z
-    coordinates follow the affine maps, so the per-level z-weight of source j is
-    gamma_+^l z_{j+}^l + gamma_-^l z_{j-}^l.  Returns (energy, forces) — arrays
-    over cumulative levels 0..M when per_level is set.
+    U = (2 pi / V) A B with A = sum_i q_i z_i and B = sum_j q_j [z_j + images].
+    Level-l images sit at (-1)^l z_j + c_+-, so the level's share of B is
+    beta A + (gamma_+ c_+ + gamma_- c_-) sum_j q_j, with
+    beta = (-1)^l (gamma_+ + gamma_-).  Returns (energy, forces) — arrays over
+    cumulative levels 0..M when per_level is set.
     """
     lx, ly, H = system.cell
-    vol = lx * ly * L_z
+    pref = 2.0 * math.pi / (lx * ly * L_z)
     q = system.charges
-    z = system.positions[:, 2]
-    n = system.n
-    a = float(np.sum(q * z))
-
-    levels = M + 1
-    e_lv = np.zeros(levels)
-    f_lv = np.zeros((levels, n, 3)) if compute_forces else None
-    pref = 2.0 * math.pi / vol
-    for l in range(levels):
-        if l == 0:
-            b_j = q * z
-            beta = 1.0
-        else:
-            g_plus, g_minus = image_scales(spec, l)
-            if g_plus == 0.0 and g_minus == 0.0:
-                continue
-            c_plus, c_minus = image_z_offsets(l, H)
-            par = -1.0 if l % 2 else 1.0
-            b_j = q * (g_plus * (par * z + c_plus) + g_minus * (par * z + c_minus))
-            beta = par * (g_plus + g_minus)
-        b = float(np.sum(b_j))
-        e_lv[l] = pref * a * b
-        if compute_forces:
-            # dU/dz_i = pref (q_i B + A q_i beta); beta is d(b_i)/dz_i
-            f_lv[l, :, 2] = -pref * (q * b + a * q * beta)
-    e_lv = np.cumsum(e_lv)
+    a = float(np.sum(q * system.positions[:, 2]))
+    scale, offset = image_levels(spec, M, H)
+    beta = (1.0 - 2.0 * (np.arange(M + 1) % 2)) * scale.sum(axis=1)
+    b = beta * a + (scale * offset).sum(axis=1) * float(np.sum(q))
+    e_lv = np.cumsum(pref * a * b)
+    f_lv = None
     if compute_forces:
+        f_lv = np.zeros((M + 1, system.n, 3))
+        # dU/dz_i = pref (q_i B + A q_i beta); beta is d(b_i)/dz_i
+        f_lv[:, :, 2] = -pref * (q * b[:, None] + a * q * beta[:, None])
         f_lv = np.cumsum(f_lv, axis=0)
     if per_level:
         return e_lv, f_lv
-    return float(e_lv[-1]), (f_lv[-1] if compute_forces else np.zeros((n, 3)))
+    return float(e_lv[-1]), (f_lv[-1] if compute_forces else np.zeros((system.n, 3)))
 
 
 def _elc_channels(spec: DielectricSpec, M: int, H: float, L_z: float):
     """Decompose the inter-replica coupling into decaying-exponential channels.
 
-    Each channel is (level, weight, offset a, side_i, side_j) contributing
-    weight * e^{-h a} * A_p(h) conj(A_q(h)) per in-plane mode, with per-particle
-    factors u_i = e^{-h(H - z_i)} (side 'u') and v_i = e^{-h z_i} (side 'v'),
-    both bounded by 1.  The exponentially growing denominator 1 - e^{h L_z} is
-    folded in analytically, so every retained factor decays.
+    Each channel contributes weight * e^{-h a} * A_p(h) conj(A_q(h)) per in-plane
+    mode, with per-particle factors u_i = e^{-h(H - z_i)} (side p = 0) and
+    v_i = e^{-h z_i} (side 1), both bounded by 1.  Every image of scale gamma at
+    level l opens two channels of weight gamma/2, one per side p, with offsets
+    a = L_z + (l-1)H and L_z - (l+1)H (in that order for the plus image, swapped
+    for the minus image); q is the other side on even levels and the same side
+    on odd ones.  The exponentially growing denominator 1 - e^{h L_z} is folded
+    in analytically, so every retained factor decays.
+
+    Returns flat arrays (slot, weight, a) with slot = 4 l + 2 p + q.
     """
-    ch = [(0, 0.5, L_z - H, "u", "v"), (0, 0.5, L_z - H, "v", "u")]
-    for l in range(1, M + 1):
-        g_plus, g_minus = image_scales(spec, l)
-        a_hi = L_z + (l - 1) * H
-        a_lo = L_z - (l + 1) * H
-        if l % 2 == 0:
-            if g_plus != 0.0:
-                ch += [(l, 0.5 * g_plus, a_hi, "u", "v"), (l, 0.5 * g_plus, a_lo, "v", "u")]
-            if g_minus != 0.0:
-                ch += [(l, 0.5 * g_minus, a_lo, "u", "v"), (l, 0.5 * g_minus, a_hi, "v", "u")]
-        else:
-            if g_plus != 0.0:
-                ch += [(l, 0.5 * g_plus, a_hi, "u", "u"), (l, 0.5 * g_plus, a_lo, "v", "v")]
-            if g_minus != 0.0:
-                ch += [(l, 0.5 * g_minus, a_lo, "u", "u"), (l, 0.5 * g_minus, a_hi, "v", "v")]
-    return ch
+    scale, _ = image_levels(spec, M, H)
+    level, side = np.nonzero(scale)
+    a_hi = L_z + (level - 1) * H
+    a_lo = L_z - (level + 1) * H
+    a = np.where(side == 0, [a_hi, a_lo], [a_lo, a_hi]).T  # (images, p)
+    p = np.arange(2)
+    q = p ^ (level[:, None] % 2 == 0)
+    slot = 4 * level[:, None] + 2 * p + q
+    weight = np.repeat(0.5 * scale[level, side], 2)
+    return slot.ravel(), weight, a.ravel()
 
 
 def elc_h_cutoff(spec: DielectricSpec, M: int, H: float, L_z: float):
@@ -274,11 +253,7 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
     h_max = max(h_max, 2 * math.pi / max(lx, ly) * 1.001)  # at least one shell
 
     levels = M + 1
-    lvl, w, a, side_i, side_j = zip(*_elc_channels(spec, M, H, L_z))
-    w, a = np.array(w), np.array(a)
-    # flat index of C[level, side_i, side_j], sides u = 0, v = 1
-    slot = (4 * np.array(lvl) + 2 * (np.array(side_i) == "v")
-            + (np.array(side_j) == "v"))
+    slot, w, a = _elc_channels(spec, M, H, L_z)
     sig = np.array([[1.0], [-1.0]])  # sign of d/dz of the u and v factors, per h
 
     e_lv = np.zeros(levels)
@@ -320,47 +295,57 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
     return float(e_lv[-1]), (f_lv[-1] if compute_forces else np.zeros((n, 3))), warnings
 
 
-def trapezoid_remainder_estimate(params: EwaldParams, H: float) -> float:
-    """Magnitude of the continuum-vs-discrete k_z remainder, e^{-a^2 (L_z - H)^2}."""
-    return math.exp(-((params.alpha * (params.L_z - H)) ** 2))
+def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
+           flags: CorrectionFlags, compute_forces: bool, per_level: bool):
+    """One padded-box evaluation: each energy term and the total force.
+
+    Returns (energies, forces, warnings).  energies maps each term to its
+    energy, or, when per_level is set, to its cumulative energies at levels
+    0..M (the self term, the same at every level, stays a scalar); forces
+    follows the same shape, None without compute_forces.  With ELC on, a
+    padded height below the image stack, L_z < (M+1)H, raises DomainError:
+    the channel series diverges there.
+    """
+    stack = (params.M + 1) * system.height
+    if flags.include_elc and params.L_z < stack:
+        raise DomainError(f"L_z = {params.L_z:g} < (M+1)H = {stack:g}: the "
+                          "inter-replica correction diverges; raise L_z or lower M")
+    total = np.cumsum if per_level else np.sum
+    table = build_image_table(system, spec, params.M)
+    e_real, f_real = _real_space_levels(system, table, params, compute_forces)
+    e_four, f_four = _fourier3d_core(system, spec, params, cumulative=per_level,
+                                     compute_forces=compute_forces)
+    if not per_level:
+        e_four, f_four = e_four[0], (f_four[0] if compute_forces else None)
+    energies = {"real": total(e_real), "fourier3d": e_four,
+                "self": self_energy(system, params.alpha)}
+    forces = [total(f_real, axis=0), f_four] if compute_forces else []
+    warnings = []
+    if flags.include_yb:
+        energies["yb"], f_yb = yb_correction(system, spec, params.M, params.L_z,
+                                             compute_forces=compute_forces,
+                                             per_level=per_level)
+        forces.append(f_yb)
+    if flags.include_elc:
+        energies["elc"], f_elc, warnings = elc_correction(
+            system, spec, params, compute_forces=compute_forces, per_level=per_level)
+        forces.append(f_elc)
+    return energies, (sum(forces) if compute_forces else None), warnings
 
 
 def solve(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
           flags: CorrectionFlags = CorrectionFlags(),
           compute_forces: bool = True) -> EnergyForces:
-    """Full padded-box solve: real + reciprocal + self (+ YB, + ELC per flags)."""
-    n = system.n
-    table = build_image_table(system, spec, params.M)
-    e_real, f_real = _real_space_levels(system, table, params, compute_forces)
-    real_e = float(np.sum(e_real))
-    forces = np.zeros((n, 3))
-    if compute_forces:
-        forces += np.sum(f_real, axis=0)
+    """Full padded-box solve: real + reciprocal + self (+ YB, + ELC per flags).
 
-    e_f, f_f = _fourier3d_core(system, spec, params, cumulative=False,
-                               compute_forces=compute_forces)
-    fourier_e = float(e_f[0])
-    if compute_forces:
-        forces += f_f[0]
-    self_e = -params.alpha / SQRT_PI * float(np.sum(system.charges ** 2))
-
-    breakdown = {"real": real_e, "fourier3d": fourier_e, "self": self_e}
-    warnings: tuple[str, ...] = ()
-    if flags.include_yb:
-        e_yb, f_yb = yb_correction(system, spec, params.M, params.L_z,
-                                   compute_forces=compute_forces)
-        breakdown["yb"] = e_yb
-        if compute_forces:
-            forces += f_yb
-    if flags.include_elc:
-        e_elc, f_elc, warn = elc_correction(system, spec, params,
-                                            compute_forces=compute_forces)
-        breakdown["elc"] = e_elc
-        warnings = tuple(warn)
-        if compute_forces:
-            forces += f_elc
-    energy = sum(breakdown.values())
-    return EnergyForces(energy, forces, breakdown, warnings)
+    Raises DomainError when ELC is on and L_z < (M+1)H.
+    """
+    energies, forces, warnings = _terms(system, spec, params, flags,
+                                        compute_forces, per_level=False)
+    breakdown = {name: float(e) for name, e in energies.items()}
+    if forces is None:
+        forces = np.zeros((system.n, 3))
+    return EnergyForces(sum(breakdown.values()), forces, breakdown, tuple(warnings))
 
 
 def solve_levels(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
@@ -369,32 +354,9 @@ def solve_levels(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams
     """One padded-box evaluation reported at every truncation level 0..params.M.
 
     Returns (energies (M+1,), forces (M+1, N, 3) or None).  Used for sweeps over
-    M at the cost of a single converged solve.
+    M at the cost of a single converged solve.  Raises DomainError when ELC is
+    on and L_z < (M+1)H.
     """
-    n = system.n
-    m = params.M
-    table = build_image_table(system, spec, m)
-    # real-space blocks are indexed by physical level directly
-    e_real, f_real = _real_space_levels(system, table, params, compute_forces)
-    energies = np.cumsum(e_real)
-    forces = np.cumsum(f_real, axis=0) if compute_forces else None
-
-    e_f, f_f = _fourier3d_core(system, spec, params, cumulative=True,
-                               compute_forces=compute_forces)
-    energies = energies + e_f
-    if compute_forces:
-        forces = forces + f_f
-    energies = energies - params.alpha / SQRT_PI * float(np.sum(system.charges ** 2))
-    if flags.include_yb:
-        e_yb, f_yb = yb_correction(system, spec, m, params.L_z,
-                                   compute_forces=compute_forces, per_level=True)
-        energies = energies + e_yb
-        if compute_forces:
-            forces = forces + f_yb
-    if flags.include_elc:
-        e_elc, f_elc, _ = elc_correction(system, spec, params,
-                                         compute_forces=compute_forces, per_level=True)
-        energies = energies + e_elc
-        if compute_forces:
-            forces = forces + f_elc
-    return energies, forces
+    energies, forces, _ = _terms(system, spec, params, flags, compute_forces,
+                                 per_level=True)
+    return sum(energies.values()), forces

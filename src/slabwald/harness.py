@@ -231,12 +231,9 @@ def _estimate(config, m: int, L_z: float | None) -> float:
     gu, gd = config.gamma_u, config.gamma_d
     if config.quantity == "force":
         trunc = err.image_truncation_force(m, gu, gd, h, lx, ly)
-        elc = (err.elc_force_estimate(m, gu, gd, h, lx, ly, L_z)
-               if L_z is not None else 0.0)
     else:
         trunc = err.image_truncation_energy(m, gu, gd, h, lx, ly)
-        elc = (err.elc_energy_estimate(m, gu, gd, h, lx, ly, L_z)
-               if L_z is not None else 0.0)
+    elc = err.elc_energy_estimate(m, gu, gd, h, lx, ly, L_z) if L_z is not None else 0.0
     if config.mode == "truncation":
         return trunc
     if config.sweep == "M":
@@ -249,7 +246,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     system = gen_system(config.seed, config.composition, config.geometry)
     spec = config.spec
     want_f = config.quantity == "force"
-    t0 = time.perf_counter()
     m_ref, ref_params, ref_e, ref_f = _reference(system, config)
     rows: list[SweepRow] = []
 
@@ -298,7 +294,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             wall = (time.perf_counter() - t1) * 1000.0
             rows.append(SweepRow(config.sweep, float(v), rel,
                                  _estimate(config, config.M, lz), wall))
-    _ = t0
     return rows
 
 

@@ -5,7 +5,9 @@ array contractions.  They are kept here, for tests only, as oracles: each
 walks one in-plane mode (and, for ELC, one channel) at a time, so the
 summation is plain to read and independent of the contraction's chunking and
 coefficient folding.  Both return per-level results exactly as the library
-routines do.
+routines do.  The per-level structure factors and ELC channels they use are
+built here too, level by level from the scalar image scales and offsets, so
+the oracles share nothing with the array image table `ewald3d` reads.
 """
 
 from __future__ import annotations
@@ -14,9 +16,52 @@ import math
 
 import numpy as np
 
-from slabwald.core import DomainError
+from slabwald.core import DomainError, image_scales, image_z_offsets
 from slabwald.ewald2d import _half_plane_hvectors
-from slabwald.ewald3d import _elc_channels, _level_structure_factors, elc_h_cutoff
+from slabwald.ewald3d import elc_h_cutoff
+
+
+def level_structure_factors_loop(spec, M, kz, H, cumulative):
+    """S_A (even levels) and S_B (odd levels) per truncation level, level by level."""
+    nz = len(kz)
+    levels = M + 1
+    sa = np.zeros((levels, nz), dtype=complex)
+    sb = np.zeros((levels, nz), dtype=complex)
+    sa[0] = 1.0
+    for l in range(1, M + 1):
+        g_plus, g_minus = image_scales(spec, l)
+        c_plus, c_minus = image_z_offsets(l, H)
+        if g_plus == 0.0 and g_minus == 0.0:
+            continue
+        if l % 2 == 0:
+            sa[l] = g_plus * np.exp(-1j * kz * c_plus) + g_minus * np.exp(-1j * kz * c_minus)
+        else:
+            sb[l] = g_plus * np.exp(-1j * kz * c_plus) + g_minus * np.exp(-1j * kz * c_minus)
+    sa = np.cumsum(sa, axis=0)
+    sb = np.cumsum(sb, axis=0)
+    if not cumulative:
+        sa, sb = sa[-1:], sb[-1:]
+    return sa, sb
+
+
+def elc_channels_loop(spec, M, H, L_z):
+    """ELC channels as (level, weight, offset a, side_i, side_j), level by level."""
+    ch = [(0, 0.5, L_z - H, "u", "v"), (0, 0.5, L_z - H, "v", "u")]
+    for l in range(1, M + 1):
+        g_plus, g_minus = image_scales(spec, l)
+        a_hi = L_z + (l - 1) * H
+        a_lo = L_z - (l + 1) * H
+        if l % 2 == 0:
+            if g_plus != 0.0:
+                ch += [(l, 0.5 * g_plus, a_hi, "u", "v"), (l, 0.5 * g_plus, a_lo, "v", "u")]
+            if g_minus != 0.0:
+                ch += [(l, 0.5 * g_minus, a_lo, "u", "v"), (l, 0.5 * g_minus, a_hi, "v", "u")]
+        else:
+            if g_plus != 0.0:
+                ch += [(l, 0.5 * g_plus, a_hi, "u", "u"), (l, 0.5 * g_plus, a_lo, "v", "v")]
+            if g_minus != 0.0:
+                ch += [(l, 0.5 * g_minus, a_lo, "u", "u"), (l, 0.5 * g_minus, a_hi, "v", "v")]
+    return ch
 
 
 def fourier3d_core_loop(system, spec, params, cumulative, compute_forces):
@@ -37,7 +82,7 @@ def fourier3d_core_loop(system, spec, params, cumulative, compute_forces):
     center = nz_max
     ez = np.exp(1j * np.outer(kz, pos[:, 2]))  # (NZ, N)
 
-    sa, sb = _level_structure_factors(spec, params.M, kz, H, cumulative)
+    sa, sb = level_structure_factors_loop(spec, params.M, kz, H, cumulative)
 
     p_acc = np.zeros(nzed, dtype=complex)
     q_acc = np.zeros(nzed, dtype=complex)
@@ -103,7 +148,7 @@ def elc_correction_loop(system, spec, params, compute_forces=True,
     pos = system.positions
     q = system.charges
     n = system.n
-    channels = _elc_channels(spec, M, H, L_z)
+    channels = elc_channels_loop(spec, M, H, L_z)
     h_max, warnings = elc_h_cutoff(spec, M, H, L_z)
     if extra_shells:
         h_max += extra_shells * 2 * math.pi / max(lx, ly)

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError,
-                           EnergyForces, EwaldParams, image_position,
-                           image_scales, image_series, image_z_offsets,
-                           read_system, reflection_factors, validate,
-                           write_system)
+                           EnergyForces, EwaldParams, image_levels,
+                           image_position, image_scales, image_series,
+                           image_z_offsets, read_system, reflection_factors,
+                           validate, write_system)
+from slabwald.ewald2d import build_image_table
 
 
 def test_charge_system_basic_properties(pair_system):
@@ -140,6 +141,39 @@ def test_image_series_count_and_pruning(pair_system):
     assert {(i.level, i.side) for i in one_sided} == {(1, "plus")} | set()
     with pytest.raises(DomainError):
         image_series(pair_system, DielectricSpec(0.5, 0.5), -1)
+
+
+_gamma = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gu=_gamma, gd=_gamma, m=st.integers(0, 40), h=st.floats(0.05, 20.0))
+def test_image_table_matches_image_series(gu, gd, m, h):
+    """The array table lists exactly image_series' images, bit for bit.
+
+    Table order is level, then plus before minus, then source; image_series
+    interleaves plus and minus per source, so it is stably sorted first.
+    """
+    system = ChargeSystem(np.array([[0.5, 0.5, 0.3 * h], [1.5, 0.5, 0.9 * h]]),
+                          np.array([1.0, -1.0]), (4.0, 4.0, h))
+    spec = DielectricSpec(gu, gd)
+    table = build_image_table(system, spec, m)
+    want = sorted(image_series(system, spec, m), key=lambda i: (i.level, i.side != "plus"))
+    n = system.n
+    assert len(table.src) == n + len(want)
+    np.testing.assert_array_equal(table.src[:n], np.arange(n))
+    np.testing.assert_array_equal(table.z[:n], system.positions[:, 2])
+    assert np.all(table.weight[:n] == 1.0) and np.all(table.level[:n] == 0)
+    got = list(zip(table.src[n:], table.level[n:], table.weight[n:], table.z[n:],
+                   table.z_offset[n:], table.parity[n:]))
+    assert got == [(i.source, i.level, i.scale, image_position(i, system)[2],
+                    i.z_offset, i.parity) for i in want]
+    levels = [0] * n + [i.level for i in want]
+    np.testing.assert_array_equal(table.starts, np.searchsorted(levels, np.arange(m + 2)))
+    scale, offset = image_levels(spec, m, h)
+    assert scale.shape == offset.shape == (m + 1, 2)
+    assert all(tuple(scale[l]) == image_scales(spec, l)
+               and tuple(offset[l]) == image_z_offsets(l, h) for l in range(1, m + 1))
 
 
 def test_image_parity():

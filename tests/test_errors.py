@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from slabwald.core import DielectricSpec, DomainError, EwaldParams
 from slabwald.errors import (ErrorBudget, amplification_factor, c_gamma,
-                             classify_regime, elc_energy_estimate,
-                             elc_force_estimate, half_levels,
+                             classify_regime, elc_energy_estimate, half_levels,
                              image_truncation_energy, image_truncation_force,
                              leading_order, splitting_error, total_budget)
 
@@ -75,8 +74,6 @@ def test_elc_estimate_hand_sum():
         want += c_gamma((gu, gd), lvl) * math.exp(
             -2 * math.pi * (lz - (lvl + 1) * h) / mx)
     assert elc_energy_estimate(2, gu, gd, h, lx, ly, lz) == pytest.approx(
-        want, rel=1e-15)
-    assert elc_force_estimate(2, gu, gd, h, lx, ly, lz) == pytest.approx(
         want, rel=1e-15)
 
 

@@ -7,12 +7,12 @@ import pytest
 
 from loop_oracles import elc_correction_loop, fourier3d_core_loop
 from slabwald import ewald3d
-from slabwald.core import (ChargeSystem, DielectricSpec, EwaldParams,
+from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
                            image_position, image_series)
+from slabwald.errors import trapezoid_remainder_estimate
 from slabwald.ewald2d import energy_icm, forces_fd_check
 from slabwald.ewald3d import (CorrectionFlags, elc_correction, elc_h_cutoff,
-                              fourier3d_energy, solve, solve_levels,
-                              trapezoid_remainder_estimate, yb_correction)
+                              fourier3d_energy, solve, solve_levels, yb_correction)
 
 
 def _reciprocal_bruteforce(system, params):
@@ -66,6 +66,19 @@ def test_yb_factored_equals_double_sum(small_system, gu, gd, m):
     e_fast, _ = yb_correction(small_system, spec, m, L_z=9.0)
     e_slow = _yb_bruteforce(small_system, spec, m, L_z=9.0)
     assert abs(e_fast - e_slow) <= 1e-13 * max(abs(e_slow), 1.0)
+
+
+@pytest.mark.parametrize("gu,gd", [(0.8, -0.6), (-1.0, 0.7), (0.0, 0.5)])
+def test_yb_every_level_equals_double_sum_non_neutral(small_system, gu, gd):
+    # net charge +1: the images' z offsets enter through sum_j q_j, which
+    # vanishes on a neutral system
+    q = small_system.charges.copy()
+    q[0] += 1.0
+    system = ChargeSystem(small_system.positions, q, small_system.cell)
+    spec = DielectricSpec(gu, gd)
+    e_lv, _ = yb_correction(system, spec, 7, L_z=9.0, per_level=True)
+    want = np.array([_yb_bruteforce(system, spec, m, L_z=9.0) for m in range(8)])
+    assert np.abs(e_lv - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_yb_forces_match_finite_differences(small_system):
@@ -142,12 +155,38 @@ def test_solve_breakdown_and_flags(small_system):
 def test_solve_levels_endpoint_matches_solve(small_system):
     spec = DielectricSpec(0.5, -0.7)
     params = EwaldParams(alpha=0.8, s=6.0, L_z=10.0, M=6)
-    flags = CorrectionFlags(include_yb=True, include_elc=True)
-    energies, forces = solve_levels(small_system, spec, params, flags)
-    res = solve(small_system, spec, params, flags)
-    assert energies[-1] == pytest.approx(res.energy, rel=1e-13)
-    np.testing.assert_allclose(forces[-1], res.forces, rtol=1e-11,
-                               atol=1e-13 * np.abs(res.forces).max())
+    for yb in (True, False):
+        for elc in (True, False):
+            flags = CorrectionFlags(include_yb=yb, include_elc=elc)
+            energies, forces = solve_levels(small_system, spec, params, flags)
+            res = solve(small_system, spec, params, flags)
+            assert energies[-1] == pytest.approx(res.energy, rel=1e-13)
+            np.testing.assert_allclose(forces[-1], res.forces, rtol=1e-11,
+                                       atol=1e-13 * np.abs(res.forces).max())
+
+
+def test_solve_rejects_elc_below_image_stack():
+    # L_z = 2 below the image stack (M+1)H = 11: the ELC channels diverge
+    system = ChargeSystem(np.array([[0.2, 0.3, 0.3], [0.7, 0.6, 0.8]]),
+                          np.array([1.0, -1.0]), (1.0, 1.0, 1.0))
+    spec = DielectricSpec(0.6, 0.6)
+    params = EwaldParams(alpha=3.0, s=4.0, L_z=2.0, M=10)
+    with pytest.raises(DomainError, match="diverges"):
+        solve(system, spec, params)
+    with pytest.raises(DomainError, match="diverges"):
+        solve_levels(system, spec, params, CorrectionFlags(include_elc=True))
+    no_elc = CorrectionFlags(include_elc=False)
+    res = solve(system, spec, params, no_elc)
+    assert math.isfinite(res.energy) and np.all(np.isfinite(res.forces))
+    energies, forces = solve_levels(system, spec, params, no_elc)
+    assert np.all(np.isfinite(energies)) and np.all(np.isfinite(forces))
+
+
+def test_solve_keeps_warning_at_image_stack_height(small_system):
+    params = EwaldParams(alpha=0.8, s=6.0, L_z=7.0, M=6)  # L_z = (M+1)H
+    res = solve(small_system, DielectricSpec(0.6, 0.6), params)
+    assert len(res.warnings) == 1 and "divergent" in res.warnings[0]
+    assert math.isfinite(res.energy)
 
 
 @pytest.mark.parametrize("gu,gd", [(0.0, 0.0), (0.6, 0.6), (-1.0, -1.0),

@@ -255,6 +255,16 @@ def test_cli_validation_failure_exit_code(tmp_path, capsys):
     assert "neutrality" in capsys.readouterr().err
 
 
+def test_cli_divergent_elc_exit_code(tmp_path, capsys):
+    path = tmp_path / "pair.txt"
+    path.write_text("cell 1 1 1\n0.2 0.3 0.3 1.0\n0.7 0.6 0.8 -1.0\n")
+    args = ["energy", str(path), "--solver", "ewald3d", "--gamma-u", "0.6",
+            "--gamma-d", "0.6", "--alpha", "3", "--s", "4", "--Lz", "2", "--M", "10"]
+    assert cli_main(args) == 1
+    assert "diverges" in capsys.readouterr().err
+    assert cli_main(args + ["--no-elc"]) == 0
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli_main(["energy"])  # missing the system file
