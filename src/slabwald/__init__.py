@@ -6,7 +6,7 @@ three-step parameter tuner.
 """
 
 from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
-                   EwaldParams, ImageCharge, Violation, image_position,
+                   EwaldParams, ImageCharge, LevelSweep, Violation, image_position,
                    image_series, read_system, reflection_factors, validate,
                    write_system)
 from .errors import (ErrorBudget, elc_energy_estimate, image_truncation_energy,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChargeSystem", "DielectricSpec", "DomainError", "EnergyForces",
-    "EwaldParams", "ImageCharge", "Violation", "image_position",
+    "EwaldParams", "ImageCharge", "LevelSweep", "Violation", "image_position",
     "image_series", "read_system", "reflection_factors", "validate",
     "write_system",
     "ErrorBudget", "elc_energy_estimate", "image_truncation_energy",

@@ -106,14 +106,9 @@ def _run_solver(args):
     import numpy as np
 
     from . import ewald2d, ewald3d
-    from .core import DielectricSpec, read_system, validate
+    from .core import DielectricSpec, read_system
 
     system = read_system(args.system)
-    violations = [v for v in validate(system) if "warning" not in v.invariant]
-    if violations:
-        for v in violations:
-            print(f"validation: {v.invariant}: {v.message}", file=sys.stderr)
-        return None, None, 1
     spec = DielectricSpec(args.gamma_u, args.gamma_d)
     params = _tuned_params(args, system.cell, spec)
     if args.solver == "icm2d":

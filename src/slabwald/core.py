@@ -40,8 +40,10 @@ class ChargeSystem:
             raise DomainError("charges length must match positions")
         if pos.shape[0] < 1:
             raise DomainError("system must contain at least one particle")
-        if any(c <= 0 for c in self.cell):
-            raise DomainError("cell lengths must be positive")
+        if not all(0 < c < math.inf for c in self.cell):
+            raise DomainError("cell lengths must be positive and finite")
+        if not (np.isfinite(pos).all() and np.isfinite(q).all()):
+            raise DomainError("positions and charges must be finite")
         pos.flags.writeable = False
         q.flags.writeable = False
 
@@ -214,6 +216,26 @@ class EnergyForces:
 
 
 @dataclass(frozen=True)
+class LevelSweep:
+    """Cumulative results of one evaluation at every truncation level 0..M.
+
+    Entry [m] of each array is the result with the image series truncated at
+    level m; forces are zero where they were not computed.
+    """
+
+    energies: np.ndarray                  # (M+1,)
+    forces: np.ndarray                    # (M+1, N, 3)
+    term_energies: dict[str, np.ndarray]  # term name -> (M+1,)
+    warnings: tuple[str, ...] = ()
+
+    def at(self, m: int) -> EnergyForces:
+        """The result truncated at level m."""
+        breakdown = {name: float(e[m]) for name, e in self.term_energies.items()}
+        return EnergyForces(float(self.energies[m]), self.forces[m], breakdown,
+                            self.warnings)
+
+
+@dataclass(frozen=True)
 class Violation:
     invariant: str
     index: int | None
@@ -245,6 +267,25 @@ def validate(system: ChargeSystem) -> list[Violation]:
         out.append(Violation("on-interface (warning)", i,
                              f"z[{i}] lies exactly on a dielectric interface"))
     return out
+
+
+def check_solvable(system: ChargeSystem, spec: DielectricSpec) -> None:
+    """The solvers' input contract: raise DomainError on a violation they cannot evaluate.
+
+    A non-neutral or unconfined system is rejected, and so is a source exactly
+    on a wall that reflects it: there it coincides with its own level-1 image
+    -z + c (at z = c/2), and the pair energy is infinite.
+    """
+    for v in validate(system):
+        if v.invariant in ("neutrality", "confinement"):
+            raise DomainError(f"{v.invariant}: {v.message}")
+    scale, offset = image_levels(spec, 1, system.height)
+    z = system.positions[:, 2]
+    on_wall = np.isin(z, offset[1, scale[1] != 0] / 2)
+    if on_wall.any():
+        i = int(np.argmax(on_wall))
+        raise DomainError(f"on-interface: z[{i}] = {z[i]:g} lies on a wall that "
+                          "reflects it onto itself (gamma != 0)")
 
 
 def read_system(path) -> ChargeSystem:

@@ -2,7 +2,8 @@
 
 This is the O(N^2) reference: every quantity is summed pairwise, replicas are
 iterated explicitly, and results are produced per image level so that
-truncation sweeps cost one full evaluation.
+truncation sweeps cost one full evaluation: `icm_level_sweep` returns a
+`core.LevelSweep` and `energy_icm` reads level M from it.
 
 All routines are pure functions of immutable inputs and safe to call
 concurrently.
@@ -17,7 +18,8 @@ import numpy as np
 from scipy.special import erf, erfc, erfcx
 
 from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
-                   EwaldParams, image_levels, image_scales)
+                   EwaldParams, LevelSweep, check_solvable, image_levels,
+                   image_scales)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -94,15 +96,12 @@ def _half_plane_hvectors(lx: float, ly: float, k_c: float) -> np.ndarray:
     """In-plane reciprocal vectors with 0 < |h| <= k_c, one of each +-h pair."""
     nx_max = int(math.floor(k_c * lx / (2 * math.pi)))
     ny_max = int(math.floor(k_c * ly / (2 * math.pi)))
-    out = []
-    for nx in range(0, nx_max + 1):
-        ny_lo = 1 if nx == 0 else -ny_max
-        for ny in range(ny_lo, ny_max + 1):
-            hx = 2 * math.pi * nx / lx
-            hy = 2 * math.pi * ny / ly
-            if 0 < hx * hx + hy * hy <= k_c * k_c:
-                out.append((hx, hy))
-    return np.array(out) if out else np.zeros((0, 2))
+    nx, ny = np.mgrid[0:nx_max + 1, -ny_max:ny_max + 1]  # nx-major, as in a double loop
+    hx = 2 * math.pi * nx / lx
+    hy = 2 * math.pi * ny / ly
+    h2 = hx * hx + hy * hy
+    keep = ((nx > 0) | (ny > 0)) & (0 < h2) & (h2 <= k_c * k_c)
+    return np.column_stack([hx[keep], hy[keep]])
 
 
 def _level_sums(table, coeff, kernel, grad):
@@ -236,29 +235,17 @@ def _j0_levels(system, table, params, compute_forces):
     return _level_sums(table, coeff, g0_alpha(zd, alpha), grad)
 
 
-@dataclass(frozen=True)
-class IcmLevelSweep:
-    """Cumulative results of the image-charge Ewald sum at every level 0..M."""
-
-    energies: np.ndarray        # (n_levels,)
-    forces: np.ndarray | None   # (n_levels, N, 3)
-    term_energies: dict[str, np.ndarray]
-
-    @property
-    def m_max(self) -> int:
-        return len(self.energies) - 1
-
-
 def icm_level_sweep(system: ChargeSystem, spec: DielectricSpec,
-                    params: EwaldParams, M: int | None = None,
-                    compute_forces: bool = True) -> IcmLevelSweep:
+                    params: EwaldParams, compute_forces: bool = True) -> LevelSweep:
     """Evaluate the image-charge Ewald sum once, reporting every truncation level.
 
     The returned arrays are cumulative: entry [m] is the full result with the
-    image series truncated at level m.  Levels with zero image scale contribute
-    nothing, so the arrays are flat there.
+    image series truncated at level m <= params.M.  Levels with zero image
+    scale contribute nothing, so the arrays are flat there.  Raises DomainError
+    for an input outside the solvers' contract (`core.check_solvable`).
     """
-    m = params.M if M is None else M
+    check_solvable(system, spec)
+    m = params.M
     table = build_image_table(system, spec, m)
     e_real, f_real = _real_space_levels(system, table, params, compute_forces)
     e_four, f_four = _fourier_levels(system, table, params, compute_forces)
@@ -269,26 +256,17 @@ def icm_level_sweep(system: ChargeSystem, spec: DielectricSpec,
     term_e = {"real": e_real, "fourier": e_four, "j0": e_j0,
               "self": np.zeros(m + 1)}
     term_e["self"][0] = self_e
-    forces = None
-    if compute_forces:
-        forces = f_real + f_four + f_j0
     phys = term_e["real"] + term_e["fourier"] + term_e["j0"] + term_e["self"]
-
-    energies = np.cumsum(phys)
-    if compute_forces:
-        forces = np.cumsum(forces, axis=0)
+    forces = (np.cumsum(f_real + f_four + f_j0, axis=0) if compute_forces
+              else np.zeros((m + 1, system.n, 3)))
     term_cum = {k: np.cumsum(v) for k, v in term_e.items()}
-    return IcmLevelSweep(energies, forces, term_cum)
+    return LevelSweep(np.cumsum(phys), forces, term_cum)
 
 
 def energy_icm(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
                compute_forces: bool = True) -> EnergyForces:
     """Image-charge Ewald2D energy and forces, truncated at params.M levels."""
-    sweep = icm_level_sweep(system, spec, params, compute_forces=compute_forces)
-    m = sweep.m_max
-    breakdown = {k: float(v[m]) for k, v in sweep.term_energies.items()}
-    forces = sweep.forces[m] if compute_forces else np.zeros((system.n, 3))
-    return EnergyForces(float(sweep.energies[m]), forces, breakdown)
+    return icm_level_sweep(system, spec, params, compute_forces).at(params.M)
 
 
 def energy_homogeneous(system: ChargeSystem, params: EwaldParams,

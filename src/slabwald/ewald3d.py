@@ -7,9 +7,9 @@ switchable.  The real-space and self terms are shared with the reference solver.
 
 Every term reads the image series from one per-level table,
 `core.image_levels` (scale and z offset per level and plus/minus side), with no
-loop over levels of its own, and reports either its value at level M or its
-cumulative values at every level 0..M.  `solve` and `solve_levels` are two
-readings of the one evaluation in `_terms`.
+loop over levels of its own, and reports its cumulative values at every level
+0..M.  `_terms` assembles them into one `core.LevelSweep`: `solve_levels`
+returns it and `solve` reads level M from it.
 
 Everything is factored through per-particle structure factors, so cost is
 O(N · #k) rather than O(N^2 · #k), and per-image-level reductions come for free.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
-                   EwaldParams, image_levels)
+                   EwaldParams, LevelSweep, check_solvable, image_levels)
 from .ewald2d import (_half_plane_hvectors, _real_space_levels, build_image_table,
                       self_energy)
 
@@ -38,9 +38,8 @@ class CorrectionFlags:
     include_elc: bool = True
 
 
-def _level_structure_factors(spec: DielectricSpec, M: int, kz: np.ndarray,
-                             H: float, cumulative: bool):
-    """S_A, S_B per truncation level (cumulative) or just at level M.
+def _level_structure_factors(spec: DielectricSpec, M: int, kz: np.ndarray, H: float):
+    """S_A, S_B at every cumulative truncation level 0..M.
 
     The image-aware structure factor factorizes as
     rho_tilde(k) = S_A(k_z) conj(rho(k)) + S_B(k_z) lambda(k), where lambda is
@@ -53,14 +52,12 @@ def _level_structure_factors(spec: DielectricSpec, M: int, kz: np.ndarray,
     odd = (np.arange(M + 1) % 2 == 1)[:, None]
     sa = np.cumsum(np.where(odd, 0.0, terms), axis=0)
     sb = np.cumsum(np.where(odd, terms, 0.0), axis=0)
-    if not cumulative:
-        sa, sb = sa[-1:], sb[-1:]
     return sa, sb
 
 
 def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-                    cumulative: bool, compute_forces: bool):
-    """k != 0 reciprocal-space sum; returns per-level (energies, forces).
+                    compute_forces: bool):
+    """k != 0 reciprocal-space sum; returns cumulative per-level (energies, forces).
 
     Modes are enumerated as in-plane blocks (one of each +-h pair) times the
     k_z column |k| <= k_c allows.  The structure factors of a chunk of blocks
@@ -84,7 +81,7 @@ def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldPar
     nzed = len(kz)
     ez = np.exp(1j * np.outer(kz, pos[:, 2]))  # (NZ, N)
 
-    sa, sb = _level_structure_factors(spec, params.M, kz, H, cumulative)
+    sa, sb = _level_structure_factors(spec, params.M, kz, H)
 
     blocks = np.vstack([[0.0, 0.0], _half_plane_hvectors(lx, ly, k_c)])
     hrho2 = blocks[:, 0] * blocks[:, 0] + blocks[:, 1] * blocks[:, 1]
@@ -145,21 +142,20 @@ def fourier3d_energy(system: ChargeSystem, spec: DielectricSpec,
 
     Returns (energy, forces).
     """
-    energies, forces = _fourier3d_core(system, spec, params, cumulative=False,
-                                       compute_forces=compute_forces)
-    f = forces[0] if compute_forces else np.zeros((system.n, 3))
-    return float(energies[0]) + self_energy(system, params.alpha), f
+    energies, forces = _fourier3d_core(system, spec, params, compute_forces)
+    f = forces[-1] if compute_forces else np.zeros((system.n, 3))
+    return float(energies[-1]) + self_energy(system, params.alpha), f
 
 
 def yb_correction(system: ChargeSystem, spec: DielectricSpec, M: int, L_z: float,
-                  compute_forces: bool = True, per_level: bool = False):
+                  compute_forces: bool = True):
     """k=0-mode dipole correction of the padded-box sum, factored to O(N).
 
     U = (2 pi / V) A B with A = sum_i q_i z_i and B = sum_j q_j [z_j + images].
     Level-l images sit at (-1)^l z_j + c_+-, so the level's share of B is
     beta A + (gamma_+ c_+ + gamma_- c_-) sum_j q_j, with
-    beta = (-1)^l (gamma_+ + gamma_-).  Returns (energy, forces) — arrays over
-    cumulative levels 0..M when per_level is set.
+    beta = (-1)^l (gamma_+ + gamma_-).  Returns (energies, forces) over
+    cumulative levels 0..M; forces is None without compute_forces.
     """
     lx, ly, H = system.cell
     pref = 2.0 * math.pi / (lx * ly * L_z)
@@ -175,9 +171,7 @@ def yb_correction(system: ChargeSystem, spec: DielectricSpec, M: int, L_z: float
         # dU/dz_i = pref (q_i B + A q_i beta); beta is d(b_i)/dz_i
         f_lv[:, :, 2] = -pref * (q * b[:, None] + a * q * beta[:, None])
         f_lv = np.cumsum(f_lv, axis=0)
-    if per_level:
-        return e_lv, f_lv
-    return float(e_lv[-1]), (f_lv[-1] if compute_forces else np.zeros((system.n, 3)))
+    return e_lv, f_lv
 
 
 def _elc_channels(spec: DielectricSpec, M: int, H: float, L_z: float):
@@ -228,8 +222,7 @@ def elc_h_cutoff(spec: DielectricSpec, M: int, H: float, L_z: float):
 
 
 def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-                   compute_forces: bool = True, per_level: bool = False,
-                   extra_shells: int = 0):
+                   compute_forces: bool = True, extra_shells: int = 0):
     """Inter-replica coupling along z of the padded-box sum, O(N) per mode.
 
     The channels of `_elc_channels` fold, per in-plane mode, into one
@@ -237,9 +230,9 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
     S_u, S_v and, for forces, with the per-particle factors.  Channel terms with
     h a > 690 are dropped.
 
-    Returns (energy, forces, warnings); arrays over cumulative levels 0..M when
-    per_level is set.  extra_shells widens the adaptive cutoff (used to certify
-    truncation).
+    Returns (energies, forces, warnings) with arrays over cumulative levels
+    0..M; forces is None without compute_forces.  extra_shells widens the
+    adaptive cutoff (used to certify truncation).
     """
     lx, ly, H = system.cell
     L_z = params.L_z
@@ -287,50 +280,41 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
             f_lv[:, :, 0] += (t1[0] - t2[0]).imag
             f_lv[:, :, 1] += (t1[1] - t2[1]).imag
             f_lv[:, :, 2] -= (t1[2] + t2[2]).real
-    e_lv = np.cumsum(e_lv)
     if compute_forces:
         f_lv = np.cumsum(f_lv, axis=0)
-    if per_level:
-        return e_lv, f_lv, warnings
-    return float(e_lv[-1]), (f_lv[-1] if compute_forces else np.zeros((n, 3))), warnings
+    return np.cumsum(e_lv), f_lv, warnings
 
 
 def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-           flags: CorrectionFlags, compute_forces: bool, per_level: bool):
-    """One padded-box evaluation: each energy term and the total force.
+           flags: CorrectionFlags, compute_forces: bool) -> LevelSweep:
+    """One padded-box evaluation, every term at every level 0..M.
 
-    Returns (energies, forces, warnings).  energies maps each term to its
-    energy, or, when per_level is set, to its cumulative energies at levels
-    0..M (the self term, the same at every level, stays a scalar); forces
-    follows the same shape, None without compute_forces.  With ELC on, a
-    padded height below the image stack, L_z < (M+1)H, raises DomainError:
-    the channel series diverges there.
+    Raises DomainError for an input outside the solvers' contract
+    (`core.check_solvable`) and, with ELC on, for a padded height below the
+    image stack, L_z < (M+1)H: the channel series diverges there.
     """
+    check_solvable(system, spec)
     stack = (params.M + 1) * system.height
     if flags.include_elc and params.L_z < stack:
         raise DomainError(f"L_z = {params.L_z:g} < (M+1)H = {stack:g}: the "
                           "inter-replica correction diverges; raise L_z or lower M")
-    total = np.cumsum if per_level else np.sum
     table = build_image_table(system, spec, params.M)
     e_real, f_real = _real_space_levels(system, table, params, compute_forces)
-    e_four, f_four = _fourier3d_core(system, spec, params, cumulative=per_level,
-                                     compute_forces=compute_forces)
-    if not per_level:
-        e_four, f_four = e_four[0], (f_four[0] if compute_forces else None)
-    energies = {"real": total(e_real), "fourier3d": e_four,
-                "self": self_energy(system, params.alpha)}
-    forces = [total(f_real, axis=0), f_four] if compute_forces else []
+    e_four, f_four = _fourier3d_core(system, spec, params, compute_forces)
+    energies = {"real": np.cumsum(e_real), "fourier3d": e_four,
+                "self": np.full(params.M + 1, self_energy(system, params.alpha))}
+    forces = [np.cumsum(f_real, axis=0), f_four] if compute_forces else []
     warnings = []
     if flags.include_yb:
         energies["yb"], f_yb = yb_correction(system, spec, params.M, params.L_z,
-                                             compute_forces=compute_forces,
-                                             per_level=per_level)
+                                             compute_forces=compute_forces)
         forces.append(f_yb)
     if flags.include_elc:
         energies["elc"], f_elc, warnings = elc_correction(
-            system, spec, params, compute_forces=compute_forces, per_level=per_level)
+            system, spec, params, compute_forces=compute_forces)
         forces.append(f_elc)
-    return energies, (sum(forces) if compute_forces else None), warnings
+    total_f = sum(forces) if compute_forces else np.zeros((params.M + 1, system.n, 3))
+    return LevelSweep(sum(energies.values()), total_f, energies, tuple(warnings))
 
 
 def solve(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
@@ -338,25 +322,18 @@ def solve(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
           compute_forces: bool = True) -> EnergyForces:
     """Full padded-box solve: real + reciprocal + self (+ YB, + ELC per flags).
 
-    Raises DomainError when ELC is on and L_z < (M+1)H.
+    Raises DomainError for an input outside `core.check_solvable`'s contract,
+    and when ELC is on and L_z < (M+1)H.
     """
-    energies, forces, warnings = _terms(system, spec, params, flags,
-                                        compute_forces, per_level=False)
-    breakdown = {name: float(e) for name, e in energies.items()}
-    if forces is None:
-        forces = np.zeros((system.n, 3))
-    return EnergyForces(sum(breakdown.values()), forces, breakdown, tuple(warnings))
+    return _terms(system, spec, params, flags, compute_forces).at(params.M)
 
 
 def solve_levels(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
                  flags: CorrectionFlags = CorrectionFlags(include_yb=True, include_elc=False),
-                 compute_forces: bool = True):
+                 compute_forces: bool = True) -> LevelSweep:
     """One padded-box evaluation reported at every truncation level 0..params.M.
 
-    Returns (energies (M+1,), forces (M+1, N, 3) or None).  Used for sweeps over
-    M at the cost of a single converged solve.  Raises DomainError when ELC is
-    on and L_z < (M+1)H.
+    Used for sweeps over M at the cost of a single converged solve.  Raises
+    DomainError as `solve` does.
     """
-    energies, forces, _ = _terms(system, spec, params, flags, compute_forces,
-                                 per_level=True)
-    return sum(energies.values()), forces
+    return _terms(system, spec, params, flags, compute_forces)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import errors as err
 from . import ewald3d
-from .core import ChargeSystem, DielectricSpec, DomainError, EwaldParams
+from .core import ChargeSystem, DielectricSpec, DomainError, EnergyForces, EwaldParams
 from .ewald2d import icm_level_sweep
 
 MASK64 = (1 << 64) - 1
@@ -208,22 +207,20 @@ def force_rel_err(forces: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(dev[keep] / mag[keep]))
 
 
-def _reference(system, config):
+def _reference(system, config) -> tuple[EwaldParams, EnergyForces]:
     spec = config.spec
     m_ref = reference_level(spec, config.geometry)
     params = EwaldParams(alpha=default_alpha(6.0, config.geometry), s=6.0,
                          L_z=2.0 * config.geometry[2], M=m_ref)
-    res = icm_level_sweep(system, spec, params,
-                          compute_forces=(config.quantity == "force"))
-    ref_e = float(res.energies[-1])
-    ref_f = res.forces[-1] if config.quantity == "force" else None
-    return m_ref, params, ref_e, ref_f
+    ref = icm_level_sweep(system, spec, params,
+                          compute_forces=(config.quantity == "force")).at(m_ref)
+    return params, ref
 
 
-def _measure(config, energy, forces, ref_e, ref_f) -> float:
+def _measure(config, res: EnergyForces, ref: EnergyForces) -> float:
     if config.quantity == "energy":
-        return abs(energy - ref_e) / abs(ref_e)
-    return force_rel_err(forces, ref_f)
+        return abs(res.energy - ref.energy) / abs(ref.energy)
+    return force_rel_err(res.forces, ref.forces)
 
 
 def _estimate(config, m: int, L_z: float | None) -> float:
@@ -246,39 +243,27 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     system = gen_system(config.seed, config.composition, config.geometry)
     spec = config.spec
     want_f = config.quantity == "force"
-    m_ref, ref_params, ref_e, ref_f = _reference(system, config)
+    ref_params, ref = _reference(system, config)
+    flags = ewald3d.CorrectionFlags(config.include_yb, config.include_elc)
     rows: list[SweepRow] = []
 
     if config.sweep == "M":
         grid = [int(v) for v in config.grid]
-        m_max = max(grid)
+        lz = None if config.mode == "truncation" else config.fixed_Lz()
+        t1 = time.perf_counter()
         if config.mode == "truncation":
-            t1 = time.perf_counter()
-            res = icm_level_sweep(system, spec, ref_params,
-                                  M=max(m_ref, m_max), compute_forces=want_f)
-            per_point = (time.perf_counter() - t1) * 1000.0 / len(grid)
-            for m in grid:
-                rel = _measure(config, float(res.energies[m]),
-                               res.forces[m] if want_f else None, ref_e, ref_f)
-                rows.append(SweepRow("M", float(m), rel,
-                                     _estimate(config, m, None), per_point))
+            params = replace(ref_params, M=max(ref_params.M, *grid))
+            sweep = icm_level_sweep(system, spec, params, compute_forces=want_f)
         else:
-            lz = config.fixed_Lz()
             alpha = config.alpha or default_alpha(config.s, config.geometry, lz)
-            params = EwaldParams(alpha=alpha, s=config.s, L_z=lz, M=m_max)
-            flags = ewald3d.CorrectionFlags(config.include_yb, config.include_elc)
-            t1 = time.perf_counter()
-            energies, forces = ewald3d.solve_levels(system, spec, params, flags,
-                                                    compute_forces=want_f)
-            per_point = (time.perf_counter() - t1) * 1000.0 / len(grid)
-            for m in grid:
-                rel = _measure(config, float(energies[m]),
-                               forces[m] if want_f else None, ref_e, ref_f)
-                rows.append(SweepRow("M", float(m), rel,
-                                     _estimate(config, m, lz), per_point))
+            params = EwaldParams(alpha=alpha, s=config.s, L_z=lz, M=max(grid))
+            sweep = ewald3d.solve_levels(system, spec, params, flags, compute_forces=want_f)
+        per_point = (time.perf_counter() - t1) * 1000.0 / len(grid)
+        for m in grid:
+            rows.append(SweepRow("M", float(m), _measure(config, sweep.at(m), ref),
+                                 _estimate(config, m, lz), per_point))
     else:  # P or Lz sweep at fixed M
         lx, ly, h = config.geometry
-        flags = ewald3d.CorrectionFlags(config.include_yb, config.include_elc)
         for v in config.grid:
             lz = h + v * lx if config.sweep == "P" else float(v)
             t1 = time.perf_counter()
@@ -287,8 +272,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 params = EwaldParams(alpha=alpha, s=config.s, L_z=lz, M=config.M)
                 res = ewald3d.solve(system, spec, params, flags,
                                     compute_forces=want_f)
-                rel = _measure(config, res.energy,
-                               res.forces if want_f else None, ref_e, ref_f)
+                rel = _measure(config, res, ref)
             except Exception:
                 rel = math.nan
             wall = (time.perf_counter() - t1) * 1000.0
@@ -379,6 +363,7 @@ def fit_decay(rows: list[SweepRow], model: str,
 
         x0 = np.array([np.mean(logy - np.log(np.maximum(col, 1e-300)))
                        for col in cols])
+        from scipy import optimize  # lazily: a large share of `import slabwald`
         sol = optimize.least_squares(resid_fn, x0)
         coef = np.exp(sol.x)
         resid = float(np.sqrt(np.mean(resid_fn(sol.x) ** 2)))

@@ -1,13 +1,14 @@
-"""Loop forms of the padded-box reciprocal sum and the ELC correction.
+"""Loop forms of the in-plane mode list, the padded-box reciprocal sum and ELC.
 
-These are the per-mode Python loops that `ewald3d` replaced with chunked
-array contractions.  They are kept here, for tests only, as oracles: each
-walks one in-plane mode (and, for ELC, one channel) at a time, so the
-summation is plain to read and independent of the contraction's chunking and
-coefficient folding.  Both return per-level results exactly as the library
-routines do.  The per-level structure factors and ELC channels they use are
-built here too, level by level from the scalar image scales and offsets, so
-the oracles share nothing with the array image table `ewald3d` reads.
+These are the per-mode Python loops that `ewald2d` and `ewald3d` replaced
+with array code (a masked grid, chunked contractions).  They are kept here,
+for tests only, as oracles: each walks one in-plane mode (and, for ELC, one
+channel) at a time, so the summation is plain to read and independent of the
+contraction's chunking and coefficient folding.  Both sums return cumulative
+per-level results exactly as the library routines do.  The in-plane modes,
+per-level structure factors and ELC channels they use are built here too,
+level by level from the scalar image scales and offsets, so the oracles share
+nothing with the array code they check.
 """
 
 from __future__ import annotations
@@ -17,11 +18,25 @@ import math
 import numpy as np
 
 from slabwald.core import DomainError, image_scales, image_z_offsets
-from slabwald.ewald2d import _half_plane_hvectors
 from slabwald.ewald3d import elc_h_cutoff
 
 
-def level_structure_factors_loop(spec, M, kz, H, cumulative):
+def half_plane_hvectors_loop(lx, ly, k_c):
+    """In-plane reciprocal vectors with 0 < |h| <= k_c, one of each +-h pair."""
+    nx_max = int(math.floor(k_c * lx / (2 * math.pi)))
+    ny_max = int(math.floor(k_c * ly / (2 * math.pi)))
+    out = []
+    for nx in range(0, nx_max + 1):
+        ny_lo = 1 if nx == 0 else -ny_max
+        for ny in range(ny_lo, ny_max + 1):
+            hx = 2 * math.pi * nx / lx
+            hy = 2 * math.pi * ny / ly
+            if 0 < hx * hx + hy * hy <= k_c * k_c:
+                out.append((hx, hy))
+    return np.array(out) if out else np.zeros((0, 2))
+
+
+def level_structure_factors_loop(spec, M, kz, H):
     """S_A (even levels) and S_B (odd levels) per truncation level, level by level."""
     nz = len(kz)
     levels = M + 1
@@ -37,11 +52,7 @@ def level_structure_factors_loop(spec, M, kz, H, cumulative):
             sa[l] = g_plus * np.exp(-1j * kz * c_plus) + g_minus * np.exp(-1j * kz * c_minus)
         else:
             sb[l] = g_plus * np.exp(-1j * kz * c_plus) + g_minus * np.exp(-1j * kz * c_minus)
-    sa = np.cumsum(sa, axis=0)
-    sb = np.cumsum(sb, axis=0)
-    if not cumulative:
-        sa, sb = sa[-1:], sb[-1:]
-    return sa, sb
+    return np.cumsum(sa, axis=0), np.cumsum(sb, axis=0)
 
 
 def elc_channels_loop(spec, M, H, L_z):
@@ -64,7 +75,7 @@ def elc_channels_loop(spec, M, H, L_z):
     return ch
 
 
-def fourier3d_core_loop(system, spec, params, cumulative, compute_forces):
+def fourier3d_core_loop(system, spec, params, compute_forces):
     """k != 0 reciprocal-space sum, one in-plane block at a time."""
     lx, ly, H = system.cell
     lz = params.L_z
@@ -82,7 +93,7 @@ def fourier3d_core_loop(system, spec, params, cumulative, compute_forces):
     center = nz_max
     ez = np.exp(1j * np.outer(kz, pos[:, 2]))  # (NZ, N)
 
-    sa, sb = level_structure_factors_loop(spec, params.M, kz, H, cumulative)
+    sa, sb = level_structure_factors_loop(spec, params.M, kz, H)
 
     p_acc = np.zeros(nzed, dtype=complex)
     q_acc = np.zeros(nzed, dtype=complex)
@@ -90,7 +101,7 @@ def fourier3d_core_loop(system, spec, params, cumulative, compute_forces):
         acc_a = np.zeros((3, nzed, n), dtype=complex)
         acc_b = np.zeros((3, nzed, n), dtype=complex)
 
-    blocks = np.vstack([[0.0, 0.0], _half_plane_hvectors(lx, ly, k_c)])
+    blocks = np.vstack([[0.0, 0.0], half_plane_hvectors_loop(lx, ly, k_c)])
     inv4a2 = 1.0 / (4.0 * alpha * alpha)
     for hx, hy in blocks:
         hrho2 = hx * hx + hy * hy
@@ -139,8 +150,7 @@ def fourier3d_core_loop(system, spec, params, cumulative, compute_forces):
     return energies, forces
 
 
-def elc_correction_loop(system, spec, params, compute_forces=True,
-                        per_level=False, extra_shells=0):
+def elc_correction_loop(system, spec, params, compute_forces=True, extra_shells=0):
     """Inter-replica coupling along z, one mode and one channel at a time."""
     lx, ly, H = system.cell
     L_z = params.L_z
@@ -159,7 +169,7 @@ def elc_correction_loop(system, spec, params, compute_forces=True,
     f_lv = np.zeros((levels, n, 3)) if compute_forces else None
     z = pos[:, 2]
     base = -(2.0 * math.pi / (lx * ly)) * 2.0
-    for hx, hy in _half_plane_hvectors(lx, ly, h_max):
+    for hx, hy in half_plane_hvectors_loop(lx, ly, h_max):
         h = math.hypot(hx, hy)
         denom = h * (1.0 - math.exp(-h * L_z))
         cc0 = base / denom
@@ -180,9 +190,6 @@ def elc_correction_loop(system, spec, params, compute_forces=True,
                 f_lv[lvl, :, 0] -= cc * hx * gxy.real
                 f_lv[lvl, :, 1] -= cc * hy * gxy.real
                 f_lv[lvl, :, 2] -= cc * h * (sig[p] * t_p + sig[qq] * t_q).real
-    e_lv = np.cumsum(e_lv)
     if compute_forces:
         f_lv = np.cumsum(f_lv, axis=0)
-    if per_level:
-        return e_lv, f_lv, warnings
-    return float(e_lv[-1]), (f_lv[-1] if compute_forces else np.zeros((n, 3))), warnings
+    return np.cumsum(e_lv), f_lv, warnings

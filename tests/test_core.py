@@ -12,7 +12,10 @@ from slabwald.core import (ChargeSystem, DielectricSpec, DomainError,
                            image_position, image_scales, image_series,
                            image_z_offsets, read_system, reflection_factors,
                            validate, write_system)
-from slabwald.ewald2d import build_image_table
+from slabwald.ewald2d import build_image_table, energy_icm
+from slabwald.ewald3d import solve
+from slabwald.harness import gen_system
+from slabwald.tuner import ToleranceRequest, select_all
 
 
 def test_charge_system_basic_properties(pair_system):
@@ -218,6 +221,58 @@ def test_validate_flags():
     flags = validate(on_wall)
     assert any("warning" in v.invariant for v in flags)
     assert not any(v.invariant == "confinement" for v in flags)
+
+
+# Inputs outside the solvers' contract, as changes to particle 0 of
+# gen_system(1): (position column -> value, charge change, word in the error)
+CONTRACT_CASES = {
+    "z=0": ({2: 0.0}, 0.0, "on-interface"),
+    "z=H": ({2: 1.0}, 0.0, "on-interface"),
+    "z=1.5": ({2: 1.5}, 0.0, "confinement"),
+    "net-charge+1": ({}, 1.0, "neutrality"),
+    "nan-z": ({2: math.nan}, 0.0, "finite"),
+    "inf-x": ({0: math.inf}, 0.0, "finite"),
+    "nan-q": ({}, math.nan, "finite"),
+}
+
+
+def contract_case(case):
+    """(positions, charges, cell) of gen_system(1) broken as CONTRACT_CASES says."""
+    cols, dq, _ = CONTRACT_CASES[case]
+    base = gen_system(1)
+    pos, q = base.positions.copy(), base.charges.copy()
+    for col, val in cols.items():
+        pos[0, col] = val
+    q[0] += dq
+    return pos, q, base.cell
+
+
+@pytest.mark.parametrize("solver", [solve, energy_icm], ids=["ewald3d", "ewald2d"])
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_solvers_reject_inputs_outside_contract(case, solver):
+    spec = DielectricSpec(0.6, 0.6)
+    params = select_all(ToleranceRequest(1e-4, (10.0, 10.0, 1.0), spec)).params
+    with pytest.raises(DomainError, match=CONTRACT_CASES[case][2]):
+        solver(ChargeSystem(*contract_case(case)), spec, params)
+
+
+@pytest.mark.parametrize("solver", [solve, energy_icm], ids=["ewald3d", "ewald2d"])
+@pytest.mark.parametrize("z,spec", [(0.0, DielectricSpec(0.0, 0.6)),
+                                    (1.0, DielectricSpec(0.6, 0.0))])
+def test_source_on_a_wall_without_its_image_is_finite(z, spec, solver):
+    # the level-1 image that would coincide with the source has scale 0
+    base = gen_system(1)
+    pos = base.positions.copy()
+    pos[0, 2] = z
+    params = EwaldParams(alpha=1.2, s=3.0, L_z=16.0, M=9)
+    res = solver(ChargeSystem(pos, base.charges, base.cell), spec, params)
+    assert math.isfinite(res.energy) and np.all(np.isfinite(res.forces))
+
+
+def test_charge_system_rejects_non_finite_cell():
+    for cell in ((10.0, math.nan, 1.0), (10.0, 10.0, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            ChargeSystem(np.zeros((1, 3)), np.zeros(1), cell)
 
 
 def test_system_io_roundtrip(tmp_path, small_system):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from loop_oracles import half_plane_hvectors_loop
 from slabwald.core import ChargeSystem, DielectricSpec, EwaldParams
-from slabwald.ewald2d import (build_image_table, energy_homogeneous, energy_icm,
-                              forces_fd_check, g0_alpha, g_alpha,
-                              icm_level_sweep, spectral_image_energy)
+from slabwald.ewald2d import (_half_plane_hvectors, build_image_table,
+                              energy_homogeneous, energy_icm, forces_fd_check,
+                              g0_alpha, g_alpha, icm_level_sweep,
+                              spectral_image_energy)
 
 
 def _g_quadrature(h, z, alpha):
@@ -77,6 +79,21 @@ def test_g0_alpha_against_mpmath():
         assert float(g0_alpha(z, alpha)) == pytest.approx(want, rel=1e-14)
     # large-|z| asymptote: the kernel approaches |z|
     assert float(g0_alpha(50.0, 1.0)) == pytest.approx(50.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("lx,ly,k_c", [
+    (10.0, 10.0, 9.6),                  # square cell
+    (10.0, 3.7, 7.2),                   # lx != ly
+    (3.7, 10.0, 7.2),
+    (10.0, 10.0, 0.5),                  # below the first shell: empty
+    (10.0, 10.0, 2 * math.pi * 3 / 10.0),  # exactly on the shell |n| = 3
+    (6.0, 4.0, 2 * math.pi * 2 / 4.0),     # exactly on a shell along y
+])
+def test_half_plane_hvectors_match_loop(lx, ly, k_c):
+    got = _half_plane_hvectors(lx, ly, k_c)
+    want = half_plane_hvectors_loop(lx, ly, k_c)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # same vectors, bit for bit, same order
 
 
 def test_build_image_table_structure(pair_system):

@@ -1,9 +1,12 @@
 """Padded-box solver: reciprocal sum, YB and ELC corrections, cross-solver identity."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loop_oracles import elc_correction_loop, fourier3d_core_loop
 from slabwald import ewald3d
@@ -65,7 +68,7 @@ def test_yb_factored_equals_double_sum(small_system, gu, gd, m):
     spec = DielectricSpec(gu, gd)
     e_fast, _ = yb_correction(small_system, spec, m, L_z=9.0)
     e_slow = _yb_bruteforce(small_system, spec, m, L_z=9.0)
-    assert abs(e_fast - e_slow) <= 1e-13 * max(abs(e_slow), 1.0)
+    assert abs(e_fast[-1] - e_slow) <= 1e-13 * max(abs(e_slow), 1.0)
 
 
 @pytest.mark.parametrize("gu,gd", [(0.8, -0.6), (-1.0, 0.7), (0.0, 0.5)])
@@ -76,7 +79,7 @@ def test_yb_every_level_equals_double_sum_non_neutral(small_system, gu, gd):
     q[0] += 1.0
     system = ChargeSystem(small_system.positions, q, small_system.cell)
     spec = DielectricSpec(gu, gd)
-    e_lv, _ = yb_correction(system, spec, 7, L_z=9.0, per_level=True)
+    e_lv, _ = yb_correction(system, spec, 7, L_z=9.0)
     want = np.array([_yb_bruteforce(system, spec, m, L_z=9.0) for m in range(8)])
     assert np.abs(e_lv - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -85,7 +88,8 @@ def test_yb_forces_match_finite_differences(small_system):
     spec = DielectricSpec(0.8, -0.6)
 
     def efn(sys_):
-        return yb_correction(sys_, spec, 6, L_z=9.0)
+        e, f = yb_correction(sys_, spec, 6, L_z=9.0)
+        return e[-1], f[-1]
 
     assert forces_fd_check(small_system, spec,
                            EwaldParams(alpha=1.0, s=6.0, L_z=9.0, M=6),
@@ -97,6 +101,7 @@ def test_elc_truncation_certified_by_extra_shells(small_system):
     params = EwaldParams(alpha=1.0, s=6.0, L_z=12.0, M=6)
     e0, f0, _ = elc_correction(small_system, spec, params)
     e1, f1, _ = elc_correction(small_system, spec, params, extra_shells=3)
+    e0, f0, e1, f1 = e0[-1], f0[-1], e1[-1], f1[-1]
     scale = max(abs(e1), 1e-300)
     assert abs(e0 - e1) < 1e-14 * scale
     assert np.abs(f0 - f1).max() < 1e-14 * max(np.abs(f1).max(), scale)
@@ -108,8 +113,8 @@ def test_elc_overflow_free_at_extreme_aspect():
     system = ChargeSystem(pos, np.array([1.0, -1.0]), (1.0, 1.0, 0.5))
     params = EwaldParams(alpha=6.0, s=6.0, L_z=1600.0, M=3)
     e, f, warnings = elc_correction(system, DielectricSpec(0.6, 0.6), params)
-    assert math.isfinite(e)
-    assert np.all(np.isfinite(f))
+    assert math.isfinite(e[-1])
+    assert np.all(np.isfinite(f[-1]))
     assert warnings == []
 
 
@@ -128,7 +133,7 @@ def test_elc_forces_match_finite_differences(small_system):
 
     def efn(sys_):
         e, f, _ = elc_correction(sys_, spec, params)
-        return e, f
+        return e[-1], f[-1]
 
     assert forces_fd_check(small_system, spec, params, step=1e-6,
                            energy_fn=efn) < 1e-7
@@ -158,10 +163,10 @@ def test_solve_levels_endpoint_matches_solve(small_system):
     for yb in (True, False):
         for elc in (True, False):
             flags = CorrectionFlags(include_yb=yb, include_elc=elc)
-            energies, forces = solve_levels(small_system, spec, params, flags)
+            sweep = solve_levels(small_system, spec, params, flags)
             res = solve(small_system, spec, params, flags)
-            assert energies[-1] == pytest.approx(res.energy, rel=1e-13)
-            np.testing.assert_allclose(forces[-1], res.forces, rtol=1e-11,
+            assert sweep.energies[-1] == pytest.approx(res.energy, rel=1e-13)
+            np.testing.assert_allclose(sweep.forces[-1], res.forces, rtol=1e-11,
                                        atol=1e-13 * np.abs(res.forces).max())
 
 
@@ -178,8 +183,8 @@ def test_solve_rejects_elc_below_image_stack():
     no_elc = CorrectionFlags(include_elc=False)
     res = solve(system, spec, params, no_elc)
     assert math.isfinite(res.energy) and np.all(np.isfinite(res.forces))
-    energies, forces = solve_levels(system, spec, params, no_elc)
-    assert np.all(np.isfinite(energies)) and np.all(np.isfinite(forces))
+    sweep = solve_levels(system, spec, params, no_elc)
+    assert np.all(np.isfinite(sweep.energies)) and np.all(np.isfinite(sweep.forces))
 
 
 def test_solve_keeps_warning_at_image_stack_height(small_system):
@@ -224,7 +229,20 @@ def _term_scale(cumulative):
     With gamma = -1 consecutive levels nearly cancel, so the cumulative values
     alone understate the magnitude the rounding error is relative to.
     """
-    return max(np.abs(cumulative).max(), np.abs(np.diff(cumulative, axis=0)).max())
+    return max(np.abs(cumulative).max(),
+               np.abs(np.diff(cumulative, axis=0)).max(initial=0.0))
+
+
+def _positive_charge_scale(oracle, system, spec, params):
+    """Energy scale of the summed terms, from the system with positive charges.
+
+    The terms of a neutral system can cancel exactly (opposite charges at one
+    point make every structure factor 0), leaving a reference of 0 and no
+    size to measure rounding against. Made positive, the same charges at the
+    same places keep the terms' size without their cancellation.
+    """
+    positive = ChargeSystem(system.positions, np.abs(system.charges), system.cell)
+    return _term_scale(oracle(positive, spec, params)[0])
 
 
 @pytest.fixture(params=[None, 64], ids=["one-chunk", "many-chunks"])
@@ -239,19 +257,17 @@ def chunk_elements(request, monkeypatch):
 def test_reciprocal_contraction_matches_loop(small_system, g, chunk_elements):
     spec = DielectricSpec(g, g)
     params = EwaldParams(alpha=0.8, s=6.0, L_z=14.0, M=6)
-    e_ref, f_ref = fourier3d_core_loop(small_system, spec, params, True, True)
+    e_ref, f_ref = fourier3d_core_loop(small_system, spec, params, True)
     e_scale, f_scale = _term_scale(e_ref), _term_scale(f_ref)
-    for cumulative in (True, False):
-        want_e, want_f = fourier3d_core_loop(small_system, spec, params, cumulative, True)
-        for forces in (True, False):
-            e, f = ewald3d._fourier3d_core(small_system, spec, params, cumulative, forces)
-            assert e.shape == want_e.shape
-            assert np.abs(e - want_e).max() <= 1e-14 * e_scale
-            if forces:
-                assert f.shape == want_f.shape
-                assert np.abs(f - want_f).max() <= 1e-14 * f_scale
-            else:
-                assert f is None
+    for forces in (True, False):
+        e, f = ewald3d._fourier3d_core(small_system, spec, params, forces)
+        assert e.shape == e_ref.shape
+        assert np.abs(e - e_ref).max() <= 1e-14 * e_scale
+        if forces:
+            assert f.shape == f_ref.shape
+            assert np.abs(f - f_ref).max() <= 1e-14 * f_scale
+        else:
+            assert f is None
 
 
 # (M, L_z, extra_shells): plain; nearly divergent, L_z <= (M+1)H and
@@ -265,21 +281,17 @@ def test_elc_contraction_matches_loop(small_system, g, m, lz, extra, chunk_eleme
     spec = DielectricSpec(g, g)
     params = EwaldParams(alpha=0.8, s=6.0, L_z=lz, M=m)
     e_ref, f_ref, w_ref = elc_correction_loop(small_system, spec, params,
-                                              per_level=True, extra_shells=extra)
+                                              extra_shells=extra)
     e_scale, f_scale = _term_scale(e_ref), _term_scale(f_ref)
-    e, f, w = elc_correction(small_system, spec, params, per_level=True,
-                             extra_shells=extra)
+    e, f, w = elc_correction(small_system, spec, params, extra_shells=extra)
     assert w == w_ref
     assert (len(w) == 1) == (lz <= (m + 1) * small_system.height)
     assert np.abs(e - e_ref).max() <= 1e-14 * e_scale
     assert np.abs(f - f_ref).max() <= 1e-14 * f_scale
     e_only, f_none, _ = elc_correction(small_system, spec, params, compute_forces=False,
-                                       per_level=True, extra_shells=extra)
+                                       extra_shells=extra)
     assert f_none is None
     assert np.abs(e_only - e_ref).max() <= 1e-14 * e_scale
-    e_m, f_m, _ = elc_correction(small_system, spec, params, extra_shells=extra)
-    assert abs(e_m - e_ref[-1]) <= 1e-14 * e_scale
-    assert np.abs(f_m - f_ref[-1]).max() <= 1e-14 * f_scale
 
 
 def test_solve_calls_elc_once(small_system, monkeypatch):
@@ -287,10 +299,65 @@ def test_solve_calls_elc_once(small_system, monkeypatch):
     original = ewald3d.elc_correction
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("per_level", False))
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ewald3d, "elc_correction", counted)
     solve(small_system, DielectricSpec(0.6, 0.6),
           EwaldParams(alpha=0.8, s=6.0, L_z=10.0, M=4))
-    assert calls == [False]
+    assert len(calls) == 1
+
+
+@st.composite
+def slab_cases(draw):
+    """A random neutral system with its walls, truncation level and padded box.
+
+    N = 2..6 charges at z in (0.05, 0.95)H, gamma_u and gamma_d in [-1, 1],
+    M = 0..6 and L_z at least H above the image stack (M+1)H; contractions run
+    in one chunk or in many 64-element ones.
+    """
+    n = draw(st.integers(2, 6))
+    lx, ly = draw(st.floats(2.0, 4.0)), draw(st.floats(2.0, 4.0))
+    h = draw(st.floats(0.8, 1.5))
+    unit = st.floats(0.0, 1.0)
+    pos = np.array([[draw(unit) * lx, draw(unit) * ly, (0.05 + 0.9 * draw(unit)) * h]
+                    for _ in range(n)])
+    q = np.array([draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
+                  for _ in range(n - 1)])
+    system = ChargeSystem(pos, np.append(q, -q.sum()), (lx, ly, h))
+    gamma = st.floats(-1.0, 1.0)
+    spec = DielectricSpec(draw(gamma), draw(gamma))
+    m = draw(st.integers(0, 6))
+    lz = (m + 1) * h + draw(st.floats(1.0, 4.0)) * h
+    params = EwaldParams(alpha=1.0, s=5.0, L_z=lz, M=m)
+    return system, spec, params, draw(st.sampled_from([ewald3d.CHUNK_ELEMENTS, 64]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=slab_cases())
+def test_reciprocal_contraction_matches_loop_on_random_systems(case):
+    system, spec, params, chunk = case
+    e_ref, f_ref = fourier3d_core_loop(system, spec, params, True)
+    with mock.patch.object(ewald3d, "CHUNK_ELEMENTS", chunk):
+        e, f = ewald3d._fourier3d_core(system, spec, params, True)
+    # A force term is an energy term times a wavevector component of at most k_c.
+    floor = _positive_charge_scale(
+        lambda *a: fourier3d_core_loop(*a, False), system, spec, params)
+    assert np.abs(e - e_ref).max() <= 1e-14 * max(_term_scale(e_ref), floor)
+    assert np.abs(f - f_ref).max() <= 1e-14 * max(_term_scale(f_ref), params.k_c * floor)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=slab_cases())
+def test_elc_contraction_matches_loop_on_random_systems(case):
+    system, spec, params, chunk = case
+    e_ref, f_ref, w_ref = elc_correction_loop(system, spec, params)
+    with mock.patch.object(ewald3d, "CHUNK_ELEMENTS", chunk):
+        e, f, w = elc_correction(system, spec, params)
+    assert w == w_ref == []
+    # A force term is an energy term times an in-plane mode |h| of at most h_max.
+    floor = _positive_charge_scale(
+        lambda *a: elc_correction_loop(*a, compute_forces=False), system, spec, params)
+    h_max = elc_h_cutoff(spec, params.M, system.height, params.L_z)[0]
+    assert np.abs(e - e_ref).max() <= 1e-14 * max(_term_scale(e_ref), floor)
+    assert np.abs(f - f_ref).max() <= 1e-14 * max(_term_scale(f_ref), h_max * floor)

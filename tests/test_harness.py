@@ -1,12 +1,16 @@
 """Sweep harness: pinned RNG, system generation, CSV schema, fits, and the CLI."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slabwald
 from slabwald.cli import main as cli_main
 from slabwald.core import DomainError, read_system
 from slabwald.harness import (CSV_HEADER, FitDegenerateError, SplitMix64,
@@ -14,6 +18,7 @@ from slabwald.harness import (CSV_HEADER, FitDegenerateError, SplitMix64,
                               force_rel_err, gen_system, parse_composition,
                               parse_config, reference_level, rows_to_csv,
                               run_sweep)
+from test_core import CONTRACT_CASES, contract_case
 
 
 def test_splitmix64_known_vectors():
@@ -253,6 +258,26 @@ def test_cli_validation_failure_exit_code(tmp_path, capsys):
     path.write_text("cell 10 10 1\n1 1 0.5 1.0\n2 2 0.5 1.0\n")  # net charge
     assert cli_main(["energy", str(path)]) == 1
     assert "neutrality" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["icm2d", "ewald3d"])
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_cli_rejects_inputs_outside_contract(tmp_path, capsys, case, solver):
+    pos, q, cell = contract_case(case)
+    path = tmp_path / "bad.txt"
+    path.write_text("cell %.17g %.17g %.17g\n" % cell
+                    + "".join("%.17g %.17g %.17g %.17g\n" % (*p, qq) for p, qq in zip(pos, q)))
+    assert cli_main(["energy", str(path), "--gamma-u", "0.6", "--gamma-d", "0.6",
+                     "--eps", "1e-4", "--solver", solver]) == 1
+    assert CONTRACT_CASES[case][2] in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_optimize_out():
+    src = os.path.dirname(os.path.dirname(slabwald.__file__))
+    code = "import sys, slabwald; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_divergent_elc_exit_code(tmp_path, capsys):
