@@ -129,8 +129,6 @@ def _cmd_energy(args) -> int:
     print("energy %.17g" % res.energy)
     for name, val in res.breakdown.items():
         print("  %-10s %.17g" % (name, val))
-    for w in res.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     return 0
 
 

@@ -101,11 +101,15 @@ def reflection_factors(eps_u: float, eps_c: float, eps_d: float) -> DielectricSp
 
 
 def image_scales(spec: DielectricSpec, level: int) -> tuple[float, float]:
-    """Scales (gamma_plus, gamma_minus) of the level-l images of a unit source."""
+    """Scales (gamma_plus, gamma_minus) of the level-l images of a unit source.
+
+    The plus chain starts across the upper wall (z = H, gamma_u), the minus
+    chain across the lower wall (z = 0, gamma_d); the walls then alternate.
+    """
     hi = (level + 1) // 2  # ceil(l/2)
     lo = level // 2        # floor(l/2)
-    return (spec.gamma_d ** hi * spec.gamma_u ** lo,
-            spec.gamma_d ** lo * spec.gamma_u ** hi)
+    return (spec.gamma_u ** hi * spec.gamma_d ** lo,
+            spec.gamma_u ** lo * spec.gamma_d ** hi)
 
 
 def image_z_offsets(level: int, height: float) -> tuple[float, float]:
@@ -202,7 +206,6 @@ class EnergyForces:
     energy: float
     forces: np.ndarray  # (N, 3)
     breakdown: dict[str, float] = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         f = np.asarray(self.forces, dtype=float)
@@ -226,13 +229,11 @@ class LevelSweep:
     energies: np.ndarray                  # (M+1,)
     forces: np.ndarray                    # (M+1, N, 3)
     term_energies: dict[str, np.ndarray]  # term name -> (M+1,)
-    warnings: tuple[str, ...] = ()
 
     def at(self, m: int) -> EnergyForces:
         """The result truncated at level m."""
         breakdown = {name: float(e[m]) for name, e in self.term_energies.items()}
-        return EnergyForces(float(self.energies[m]), self.forces[m], breakdown,
-                            self.warnings)
+        return EnergyForces(float(self.energies[m]), self.forces[m], breakdown)
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,9 @@ def check_solvable(system: ChargeSystem, spec: DielectricSpec) -> None:
 
     A non-neutral or unconfined system is rejected, and so is a source exactly
     on a wall that reflects it: there it coincides with its own level-1 image
-    -z + c (at z = c/2), and the pair energy is infinite.
+    -z + c (at z = c/2), and the pair energy is infinite.  So are two sources
+    at one position once x and y are wrapped into the cell, with the
+    minimum-image arithmetic of the real-space sum.
     """
     for v in validate(system):
         if v.invariant in ("neutrality", "confinement"):
@@ -286,6 +289,12 @@ def check_solvable(system: ChargeSystem, spec: DielectricSpec) -> None:
         i = int(np.argmax(on_wall))
         raise DomainError(f"on-interface: z[{i}] = {z[i]:g} lies on a wall that "
                           "reflects it onto itself (gamma != 0)")
+    if np.unique(z).size < z.size:  # only sources that share a z can coincide
+        d = system.positions[:, None, :2] - system.positions[:, :2]
+        d -= np.array(system.cell[:2]) * np.round(d / system.cell[:2])
+        i, j = np.nonzero(np.triu(~d.any(axis=2) & (z[:, None] == z), k=1))
+        if i.size:
+            raise DomainError(f"coincident: particles {i[0]} and {j[0]} share a position")
 
 
 def read_system(path) -> ChargeSystem:

@@ -1,8 +1,7 @@
 """Closed-form a-priori error estimators for each approximation step.
 
-All estimates are unit-prefactor magnitudes (an optional multiplicative
-prefactor is exposed); absolute constants are left to empirical fitting in the
-sweep harness.
+All estimates are magnitudes with unit constants; absolute constants are left
+to empirical fitting in the sweep harness.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ def half_levels(M: int) -> int:
 
 
 def image_truncation_energy(M: int, gamma_u: float, gamma_d: float,
-                            H: float, L_x: float, L_y: float,
-                            prefactor: float = 1.0) -> float:
+                            H: float, L_x: float, L_y: float) -> float:
     """Magnitude of the energy error from truncating the image series at level M.
 
     ~ |gamma_u gamma_d|^n e^{-4 pi H n / max(L_x, L_y)} with n = floor((M+1)/2).
@@ -60,16 +58,14 @@ def image_truncation_energy(M: int, gamma_u: float, gamma_d: float,
     if gg == 0.0 and M >= 1:
         return 0.0  # one-sided wall: series exact after the first level
     n = half_levels(M)
-    return prefactor * gg ** n * math.exp(-4.0 * math.pi * H * n / max(L_x, L_y))
+    return gg ** n * math.exp(-4.0 * math.pi * H * n / max(L_x, L_y))
 
 
 def image_truncation_force(M: int, gamma_u: float, gamma_d: float,
-                           H: float, L_x: float, L_y: float,
-                           prefactor: float = 1.0) -> float:
+                           H: float, L_x: float, L_y: float) -> float:
     """Force variant of the truncation bound: extra factor 1/n, n guarded at 1."""
     n = max(half_levels(M), 1)
-    return image_truncation_energy(M, gamma_u, gamma_d, H, L_x, L_y,
-                                   prefactor=prefactor) / n
+    return image_truncation_energy(M, gamma_u, gamma_d, H, L_x, L_y) / n
 
 
 def c_gamma(spec_or_gammas, level: int) -> float:
@@ -83,8 +79,7 @@ def c_gamma(spec_or_gammas, level: int) -> float:
 
 
 def elc_energy_estimate(M: int, gamma_u: float, gamma_d: float, H: float,
-                        L_x: float, L_y: float, L_z: float,
-                        prefactor: float = 1.0) -> float:
+                        L_x: float, L_y: float, L_z: float) -> float:
     """Magnitude of the inter-replica (layer-coupling) term omitted by padding.
 
     e^{-2 pi (L_z - H)/max} + sum_l C_gamma^(l) e^{-2 pi (L_z - (l+1)H)/max}.
@@ -94,7 +89,7 @@ def elc_energy_estimate(M: int, gamma_u: float, gamma_d: float, H: float,
     for l in range(1, M + 1):
         total += (c_gamma((gamma_u, gamma_d), l)
                   * math.exp(-2.0 * math.pi * (L_z - (l + 1) * H) / mx))
-    return prefactor * total
+    return total
 
 
 def classify_regime(g_u: float, g_d: float) -> str:
@@ -151,8 +146,7 @@ def trapezoid_remainder_estimate(params: EwaldParams, H: float) -> float:
 
 
 def total_budget(params: EwaldParams, spec: DielectricSpec,
-                 geometry: tuple[float, float, float],
-                 prefactor: float = 1.0) -> ErrorBudget:
+                 geometry: tuple[float, float, float]) -> ErrorBudget:
     """Assemble the full five-term error budget for given parameters."""
     L_x, L_y, H = geometry
     mx = max(L_x, L_y)
@@ -160,14 +154,13 @@ def total_budget(params: EwaldParams, spec: DielectricSpec,
     g_d = spec.gamma_d * math.exp(2.0 * math.pi * H / mx)
     base = math.exp(-2.0 * math.pi * (params.L_z - H) / mx)
     elc_total = elc_energy_estimate(params.M, spec.gamma_u, spec.gamma_d, H,
-                                    L_x, L_y, params.L_z, prefactor=prefactor)
+                                    L_x, L_y, params.L_z)
     return ErrorBudget(
-        splitting=prefactor * splitting_error(params.s),
+        splitting=splitting_error(params.s),
         image_truncation=image_truncation_energy(
-            params.M, spec.gamma_u, spec.gamma_d, H, L_x, L_y,
-            prefactor=prefactor),
-        elc_base=prefactor * base,
-        elc_image=max(elc_total - prefactor * base, 0.0),
+            params.M, spec.gamma_u, spec.gamma_d, H, L_x, L_y),
+        elc_base=base,
+        elc_image=max(elc_total - base, 0.0),
         trapezoidal=trapezoid_remainder_estimate(params, H),
         regime=classify_regime(g_u, g_d),
         g_u=g_u,

@@ -203,36 +203,29 @@ def _elc_channels(spec: DielectricSpec, M: int, H: float, L_z: float):
 def elc_h_cutoff(spec: DielectricSpec, M: int, H: float, L_z: float):
     """Adaptive in-plane cutoff: largest term magnitude below the 1e-18 floor.
 
-    Returns (h_max, warnings).  When L_z <= (M+1)H the channel series is nearly
-    divergent; a warning is recorded and the cutoff falls back to the base
-    decay length L_z - H (with an overflow clamp on the growing channels).
+    The channel series converges only while the image stack fits inside the
+    padding, L_z > (M+1)H; every channel offset a is then at least
+    L_z - (M+1)H > 0.  Raises DomainError otherwise.  Returns (h_max, warnings);
+    warnings is always empty and is kept for callers that unpack two values.
     """
-    warnings = []
     a_min = L_z - (M + 1) * H
-    if a_min > 0:
-        h_max = math.log(1.0 / ELC_TERM_FLOOR) / a_min
-    else:
-        warnings.append(
-            f"L_z = {L_z:g} <= (M+1)H = {(M + 1) * H:g}: inter-replica series "
-            "nearly divergent; cutoff from base decay length")
-        h_max = math.log(1.0 / ELC_TERM_FLOOR) / (L_z - H)
-        if a_min < 0:
-            h_max = min(h_max, 690.0 / abs(a_min))
-    return h_max, warnings
+    if a_min <= 0:
+        raise DomainError(f"L_z = {L_z:g} <= (M+1)H = {(M + 1) * H:g}: the "
+                          "inter-replica correction diverges; raise L_z or lower M")
+    return math.log(1.0 / ELC_TERM_FLOOR) / a_min, []
 
 
 def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-                   compute_forces: bool = True, extra_shells: int = 0):
+                   compute_forces: bool = True):
     """Inter-replica coupling along z of the padded-box sum, O(N) per mode.
 
     The channels of `_elc_channels` fold, per in-plane mode, into one
     coefficient C[level, side_i, side_j], which is contracted with the side sums
-    S_u, S_v and, for forces, with the per-particle factors.  Channel terms with
-    h a > 690 are dropped.
+    S_u, S_v and, for forces, with the per-particle factors.
 
-    Returns (energies, forces, warnings) with arrays over cumulative levels
-    0..M; forces is None without compute_forces.  extra_shells widens the
-    adaptive cutoff (used to certify truncation).
+    Returns (energies, forces) over cumulative levels 0..M; forces is None
+    without compute_forces.  Raises DomainError unless L_z > (M+1)H
+    (`elc_h_cutoff`).
     """
     lx, ly, H = system.cell
     L_z = params.L_z
@@ -240,9 +233,7 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
     pos = system.positions
     q = system.charges
     n = system.n
-    h_max, warnings = elc_h_cutoff(spec, M, H, L_z)
-    if extra_shells:
-        h_max += extra_shells * 2 * math.pi / max(lx, ly)
+    h_max, _ = elc_h_cutoff(spec, M, H, L_z)
     h_max = max(h_max, 2 * math.pi / max(lx, ly) * 1.001)  # at least one shell
 
     levels = M + 1
@@ -259,9 +250,7 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
         hx, hy = hvecs[lo:lo + chunk].T
         h = np.hypot(hx, hy)
         cc0 = base / (h * (1.0 - np.exp(-h * L_z)))
-        ha = a[:, None] * h
-        with np.errstate(over="raise"):
-            cc = np.where(ha > 690.0, 0.0, cc0 * w[:, None] * np.exp(-ha))  # (channels, modes)
+        cc = cc0 * w[:, None] * np.exp(-a[:, None] * h)  # (channels, modes)
         coeff = np.zeros((4 * levels, len(h)))
         np.add.at(coeff, slot, cc)
         coeff = coeff.reshape(levels, 2, 2, len(h))
@@ -282,7 +271,7 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
             f_lv[:, :, 2] -= (t1[2] + t2[2]).real
     if compute_forces:
         f_lv = np.cumsum(f_lv, axis=0)
-    return np.cumsum(e_lv), f_lv, warnings
+    return np.cumsum(e_lv), f_lv
 
 
 def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
@@ -290,31 +279,28 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
     """One padded-box evaluation, every term at every level 0..M.
 
     Raises DomainError for an input outside the solvers' contract
-    (`core.check_solvable`) and, with ELC on, for a padded height below the
-    image stack, L_z < (M+1)H: the channel series diverges there.
+    (`core.check_solvable`) and, with ELC on, unless L_z > (M+1)H
+    (`elc_h_cutoff`).  ELC runs first, so that check comes before the
+    costlier terms.
     """
     check_solvable(system, spec)
-    stack = (params.M + 1) * system.height
-    if flags.include_elc and params.L_z < stack:
-        raise DomainError(f"L_z = {params.L_z:g} < (M+1)H = {stack:g}: the "
-                          "inter-replica correction diverges; raise L_z or lower M")
+    if flags.include_elc:
+        e_elc, f_elc = elc_correction(system, spec, params, compute_forces=compute_forces)
     table = build_image_table(system, spec, params.M)
     e_real, f_real = _real_space_levels(system, table, params, compute_forces)
     e_four, f_four = _fourier3d_core(system, spec, params, compute_forces)
     energies = {"real": np.cumsum(e_real), "fourier3d": e_four,
                 "self": np.full(params.M + 1, self_energy(system, params.alpha))}
     forces = [np.cumsum(f_real, axis=0), f_four] if compute_forces else []
-    warnings = []
     if flags.include_yb:
         energies["yb"], f_yb = yb_correction(system, spec, params.M, params.L_z,
                                              compute_forces=compute_forces)
         forces.append(f_yb)
     if flags.include_elc:
-        energies["elc"], f_elc, warnings = elc_correction(
-            system, spec, params, compute_forces=compute_forces)
+        energies["elc"] = e_elc
         forces.append(f_elc)
     total_f = sum(forces) if compute_forces else np.zeros((params.M + 1, system.n, 3))
-    return LevelSweep(sum(energies.values()), total_f, energies, tuple(warnings))
+    return LevelSweep(sum(energies.values()), total_f, energies)
 
 
 def solve(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
@@ -323,13 +309,13 @@ def solve(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
     """Full padded-box solve: real + reciprocal + self (+ YB, + ELC per flags).
 
     Raises DomainError for an input outside `core.check_solvable`'s contract,
-    and when ELC is on and L_z < (M+1)H.
+    and when ELC is on and L_z <= (M+1)H.
     """
     return _terms(system, spec, params, flags, compute_forces).at(params.M)
 
 
 def solve_levels(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-                 flags: CorrectionFlags = CorrectionFlags(include_yb=True, include_elc=False),
+                 flags: CorrectionFlags = CorrectionFlags(),
                  compute_forces: bool = True) -> LevelSweep:
     """One padded-box evaluation reported at every truncation level 0..params.M.
 

@@ -38,10 +38,15 @@ def _round_up(value: float, mode: str) -> int:
 
 
 def select_M(req: ToleranceRequest) -> int:
-    """Step 1: smallest image level whose truncation error estimate is <= epsilon.
+    """Step 1: image level from a closed-form inversion of the truncation bound.
 
     No walls -> 0; one wall -> 1 (a single reflection is exact, no multiple
-    bounces exist); otherwise invert the truncation bound in closed form.
+    bounces exist); otherwise, with r = log|gamma_u gamma_d| - 4 pi H / max,
+    M = (2 log eps - 4 pi H / max - log|gamma_u gamma_d|) / r, rounded per
+    req.rounding.  This is not the smallest M whose
+    `errors.image_truncation_energy` is <= epsilon: that estimate falls only
+    at odd M, so the M returned is often larger and sometimes one level short
+    (gamma = 0.1, H = 1, 10 x 10, eps = 1e-8 gives M = 6, estimate 2.3e-8).
     """
     gu, gd = req.spec.gamma_u, req.spec.gamma_d
     if gu == 0.0 and gd == 0.0:
@@ -58,8 +63,10 @@ def select_M(req: ToleranceRequest) -> int:
 def contracting_padding(req: ToleranceRequest) -> bool:
     """Whether extra image levels leave the layer-coupling error bounded.
 
-    Branch on |gamma_u gamma_d| e^{2 pi H / max} < 1, i.e. whether the
-    amplification parameters g_u, g_d multiply to less than one.
+    Branch on |gamma_u gamma_d| e^{2 pi H / max} < 1.  This is not the test
+    g_u g_d < 1 of `errors.classify_regime`: g_u g_d = |gamma_u gamma_d|
+    e^{4 pi H / max}, so for gamma = 0.6, H = 1, 10 x 10 this branch pads as
+    contracting while `total_budget` reports "amplifying".
     """
     L_x, L_y, H = req.geometry
     gg = abs(req.spec.gamma_u * req.spec.gamma_d)
@@ -136,8 +143,8 @@ def select_all(req: ToleranceRequest,
                continuous_s: bool = False) -> TuneResult:
     """Run all three steps and report the predicted budget.
 
-    Budget fields above epsilon are flagged informationally (unit-prefactor
-    magnitudes routinely exceed a tight tolerance by a bounded constant; the
+    Budget fields above epsilon are flagged informationally (magnitudes with
+    unit constants routinely exceed a tight tolerance by a bounded constant; the
     achievement criterion is order-of-magnitude).
     """
     L_x, L_y, H = req.geometry

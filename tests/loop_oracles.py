@@ -150,7 +150,7 @@ def fourier3d_core_loop(system, spec, params, compute_forces):
     return energies, forces
 
 
-def elc_correction_loop(system, spec, params, compute_forces=True, extra_shells=0):
+def elc_correction_loop(system, spec, params, compute_forces=True):
     """Inter-replica coupling along z, one mode and one channel at a time."""
     lx, ly, H = system.cell
     L_z = params.L_z
@@ -159,9 +159,7 @@ def elc_correction_loop(system, spec, params, compute_forces=True, extra_shells=
     q = system.charges
     n = system.n
     channels = elc_channels_loop(spec, M, H, L_z)
-    h_max, warnings = elc_h_cutoff(spec, M, H, L_z)
-    if extra_shells:
-        h_max += extra_shells * 2 * math.pi / max(lx, ly)
+    h_max, _ = elc_h_cutoff(spec, M, H, L_z)
     h_max = max(h_max, 2 * math.pi / max(lx, ly) * 1.001)
 
     levels = M + 1
@@ -178,8 +176,6 @@ def elc_correction_loop(system, spec, params, compute_forces=True, extra_shells=
         asum = {s: g[s].sum() for s in ("u", "v")}
         sig = {"u": 1.0, "v": -1.0}
         for lvl, w, a, p, qq in channels:
-            if h * a > 690.0:
-                continue
             cc = cc0 * w * math.exp(-h * a)
             cross = asum[p] * np.conj(asum[qq])
             e_lv[lvl] += cc * cross.real
@@ -192,4 +188,4 @@ def elc_correction_loop(system, spec, params, compute_forces=True, extra_shells=
                 f_lv[lvl, :, 2] -= cc * h * (sig[p] * t_p + sig[qq] * t_q).real
     if compute_forces:
         f_lv = np.cumsum(f_lv, axis=0)
-    return np.cumsum(e_lv), f_lv, warnings
+    return np.cumsum(e_lv), f_lv

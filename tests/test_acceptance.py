@@ -292,9 +292,8 @@ def test_criterion_9_property_suite():
     # inter-replica term finite at extreme aspect ratio (h L_z ~ 1e4)
     tall = ChargeSystem(np.array([[0.2, 0.3, 0.1], [0.7, 0.6, 0.4]]),
                         np.array([1.0, -1.0]), (1.0, 1.0, 0.5))
-    e_elc, f_elc, _ = elc_correction(tall, DielectricSpec(0.6, 0.6),
-                                     EwaldParams(alpha=6.0, s=6.0, L_z=1600.0,
-                                                 M=3))
+    e_elc, f_elc = elc_correction(tall, DielectricSpec(0.6, 0.6),
+                                  EwaldParams(alpha=6.0, s=6.0, L_z=1600.0, M=3))
     checks.append(("elc-overflow-free",
                    math.isfinite(e_elc[-1]) and bool(np.all(np.isfinite(f_elc[-1])))))
 

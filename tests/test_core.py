@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError,
-                           EnergyForces, EwaldParams, image_levels,
+                           EnergyForces, EwaldParams, check_solvable, image_levels,
                            image_position, image_scales, image_series,
                            image_z_offsets, read_system, reflection_factors,
                            validate, write_system)
@@ -68,10 +68,10 @@ def test_reflection_factors_values():
 def test_image_scales_small_levels():
     spec = DielectricSpec(gamma_u=0.25, gamma_d=-0.5)
     gu, gd = spec.gamma_u, spec.gamma_d
-    assert image_scales(spec, 1) == (gd, gu)
-    assert image_scales(spec, 2) == (gd * gu, gd * gu)
-    assert image_scales(spec, 3) == (gd**2 * gu, gd * gu**2)
-    assert image_scales(spec, 4) == (gd**2 * gu**2, gd**2 * gu**2)
+    assert image_scales(spec, 1) == (gu, gd)
+    assert image_scales(spec, 2) == (gu * gd, gu * gd)
+    assert image_scales(spec, 3) == (gu**2 * gd, gu * gd**2)
+    assert image_scales(spec, 4) == (gu**2 * gd**2, gu**2 * gd**2)
 
 
 def test_image_z_offsets_small_levels():
@@ -86,8 +86,7 @@ def _reflection_chain(z, h, gamma_u, gamma_d, m):
     """Oracle: build the two image chains by explicit alternating reflections.
 
     Reflecting across the upper wall maps z -> 2H - z and multiplies the scale
-    by gamma_d; across the lower wall, z -> -z with factor gamma_u (the factor
-    naming follows the affine-series convention used throughout the package).
+    by gamma_u; across the lower wall, z -> -z with factor gamma_d.
     The plus chain at level l is the upper reflection of the minus chain at
     l - 1, and vice versa.
     """
@@ -96,8 +95,8 @@ def _reflection_chain(z, h, gamma_u, gamma_d, m):
     for _ in range(m):
         z_m, s_m = minus[-1]
         z_p, s_p = plus[-1]
-        plus.append((2 * h - z_m, gamma_d * s_m))
-        minus.append((-z_p, gamma_u * s_p))
+        plus.append((2 * h - z_m, gamma_u * s_m))
+        minus.append((-z_p, gamma_d * s_p))
     return plus[1:], minus[1:]
 
 
@@ -141,7 +140,7 @@ def test_image_series_count_and_pruning(pair_system):
     assert len(full) == 2 * pair_system.n * 4
     one_sided = image_series(pair_system, DielectricSpec(0.0, 0.5), 3)
     # only levels whose scale contains no gamma_u power survive
-    assert {(i.level, i.side) for i in one_sided} == {(1, "plus")} | set()
+    assert {(i.level, i.side) for i in one_sided} == {(1, "minus")} | set()
     with pytest.raises(DomainError):
         image_series(pair_system, DielectricSpec(0.5, 0.5), -1)
 
@@ -223,6 +222,8 @@ def test_validate_flags():
     assert not any(v.invariant == "confinement" for v in flags)
 
 
+_P1 = gen_system(1).positions[1]
+
 # Inputs outside the solvers' contract, as changes to particle 0 of
 # gen_system(1): (position column -> value, charge change, word in the error)
 CONTRACT_CASES = {
@@ -233,6 +234,9 @@ CONTRACT_CASES = {
     "nan-z": ({2: math.nan}, 0.0, "finite"),
     "inf-x": ({0: math.inf}, 0.0, "finite"),
     "nan-q": ({}, math.nan, "finite"),
+    # onto particle 1, and onto its replica one cell along x
+    "coincident": (dict(enumerate(_P1)), 0.0, "coincident"),
+    "coincident+Lx": ({0: _P1[0] + 10.0, 1: _P1[1], 2: _P1[2]}, 0.0, "coincident"),
 }
 
 
@@ -256,9 +260,16 @@ def test_solvers_reject_inputs_outside_contract(case, solver):
         solver(ChargeSystem(*contract_case(case)), spec, params)
 
 
+def test_sources_sharing_only_xy_or_only_z_are_solvable():
+    # 0 and 1 share x, y once wrapped into the cell; 1 and 2, 0 and 3 share z
+    pos = np.array([[1.0, 1.0, 0.3], [11.0, 1.0, 0.7], [3.0, 4.0, 0.7], [5.0, 6.0, 0.3]])
+    system = ChargeSystem(pos, np.array([1.0, -1.0, 1.0, -1.0]), (10.0, 10.0, 1.0))
+    check_solvable(system, DielectricSpec(0.6, 0.6))
+
+
 @pytest.mark.parametrize("solver", [solve, energy_icm], ids=["ewald3d", "ewald2d"])
-@pytest.mark.parametrize("z,spec", [(0.0, DielectricSpec(0.0, 0.6)),
-                                    (1.0, DielectricSpec(0.6, 0.0))])
+@pytest.mark.parametrize("z,spec", [(0.0, DielectricSpec(0.6, 0.0)),
+                                    (1.0, DielectricSpec(0.0, 0.6))])
 def test_source_on_a_wall_without_its_image_is_finite(z, spec, solver):
     # the level-1 image that would coincide with the source has scale 0
     base = gen_system(1)
@@ -267,6 +278,23 @@ def test_source_on_a_wall_without_its_image_is_finite(z, spec, solver):
     params = EwaldParams(alpha=1.2, s=3.0, L_z=16.0, M=9)
     res = solver(ChargeSystem(pos, base.charges, base.cell), spec, params)
     assert math.isfinite(res.energy) and np.all(np.isfinite(res.forces))
+
+
+@pytest.mark.parametrize("solver", [solve, energy_icm], ids=["ewald3d", "ewald2d"])
+@pytest.mark.parametrize("gammas,z_near,push", [((0.6, 0.0), 0.95, -1.0),
+                                                ((0.0, 0.6), 0.05, 1.0)],
+                         ids=["upper", "lower"])
+def test_pair_is_pushed_off_the_only_polarizable_wall(gammas, z_near, push, solver):
+    # gamma > 0: each charge's own image has its sign and repels it
+    spec = DielectricSpec(*gammas)
+    params = select_all(ToleranceRequest(1e-8, (10.0, 10.0, 1.0), spec)).params
+    fz = {}
+    for z in (z_near, 1.0 - z_near):
+        pair = ChargeSystem(np.array([[4.85, 5.0, z], [5.15, 5.0, z]]),
+                            np.array([1.0, -1.0]), (10.0, 10.0, 1.0))
+        fz[z] = solver(pair, spec, params).forces[:, 2]
+    assert np.all(push * fz[z_near] > 0.0)
+    assert np.abs(fz[1.0 - z_near]).max() < 1e-3 * np.abs(fz[z_near]).min()
 
 
 def test_charge_system_rejects_non_finite_cell():

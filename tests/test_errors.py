@@ -30,9 +30,6 @@ def test_image_truncation_energy_hand_values():
     # max(L_x, L_y) governs the decay
     assert image_truncation_energy(1, 0.5, 0.5, 1.0, 10.0, 20.0) == pytest.approx(
         0.25 * math.exp(-4 * math.pi / 20.0), rel=1e-15)
-    # prefactor scales linearly
-    assert image_truncation_energy(1, 0.5, 0.5, 1.0, 10.0, 10.0, prefactor=3.0) \
-        == pytest.approx(3 * want, rel=1e-15)
     with pytest.raises(DomainError):
         image_truncation_energy(-1, 0.5, 0.5, 1.0, 10.0, 10.0)
 

@@ -14,6 +14,7 @@ from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParam
                            image_position, image_series)
 from slabwald.errors import trapezoid_remainder_estimate
 from slabwald.ewald2d import energy_icm, forces_fd_check
+from slabwald.harness import gen_system
 from slabwald.ewald3d import (CorrectionFlags, elc_correction, elc_h_cutoff,
                               fourier3d_energy, solve, solve_levels, yb_correction)
 
@@ -96,11 +97,13 @@ def test_yb_forces_match_finite_differences(small_system):
                            step=1e-6, energy_fn=efn) < 1e-7
 
 
-def test_elc_truncation_certified_by_extra_shells(small_system):
+def test_elc_truncation_certified_by_extra_shells(small_system, monkeypatch):
+    # a floor 12 decades lower widens the cutoff by several in-plane shells
     spec = DielectricSpec(0.6, 0.6)
     params = EwaldParams(alpha=1.0, s=6.0, L_z=12.0, M=6)
-    e0, f0, _ = elc_correction(small_system, spec, params)
-    e1, f1, _ = elc_correction(small_system, spec, params, extra_shells=3)
+    e0, f0 = elc_correction(small_system, spec, params)
+    monkeypatch.setattr(ewald3d, "ELC_TERM_FLOOR", 1e-30)
+    e1, f1 = elc_correction(small_system, spec, params)
     e0, f0, e1, f1 = e0[-1], f0[-1], e1[-1], f1[-1]
     scale = max(abs(e1), 1e-300)
     assert abs(e0 - e1) < 1e-14 * scale
@@ -112,19 +115,18 @@ def test_elc_overflow_free_at_extreme_aspect():
     pos = np.array([[0.2, 0.3, 0.1], [0.7, 0.6, 0.4]])
     system = ChargeSystem(pos, np.array([1.0, -1.0]), (1.0, 1.0, 0.5))
     params = EwaldParams(alpha=6.0, s=6.0, L_z=1600.0, M=3)
-    e, f, warnings = elc_correction(system, DielectricSpec(0.6, 0.6), params)
+    e, f = elc_correction(system, DielectricSpec(0.6, 0.6), params)
     assert math.isfinite(e[-1])
     assert np.all(np.isfinite(f[-1]))
-    assert warnings == []
 
 
-def test_elc_cutoff_warns_when_stack_exceeds_padding():
+def test_elc_cutoff_rejects_stack_at_or_above_padding():
     spec = DielectricSpec(0.9, 0.9)
     h_ok, warn_ok = elc_h_cutoff(spec, M=2, H=1.0, L_z=10.0)
-    assert warn_ok == [] and h_ok > 0
-    h_bad, warn_bad = elc_h_cutoff(spec, M=12, H=1.0, L_z=10.0)
-    assert len(warn_bad) == 1 and "divergent" in warn_bad[0]
-    assert math.isfinite(h_bad) and h_bad > 0
+    assert warn_ok == [] and h_ok == pytest.approx(math.log(1e18) / 7.0, rel=1e-15)
+    for m in (9, 12):  # L_z = (M+1)H and L_z < (M+1)H
+        with pytest.raises(DomainError, match="diverges"):
+            elc_h_cutoff(spec, M=m, H=1.0, L_z=10.0)
 
 
 def test_elc_forces_match_finite_differences(small_system):
@@ -132,7 +134,7 @@ def test_elc_forces_match_finite_differences(small_system):
     params = EwaldParams(alpha=1.0, s=6.0, L_z=8.0, M=4)
 
     def efn(sys_):
-        e, f, _ = elc_correction(sys_, spec, params)
+        e, f = elc_correction(sys_, spec, params)
         return e[-1], f[-1]
 
     assert forces_fd_check(small_system, spec, params, step=1e-6,
@@ -187,11 +189,23 @@ def test_solve_rejects_elc_below_image_stack():
     assert np.all(np.isfinite(sweep.energies)) and np.all(np.isfinite(sweep.forces))
 
 
-def test_solve_keeps_warning_at_image_stack_height(small_system):
-    params = EwaldParams(alpha=0.8, s=6.0, L_z=7.0, M=6)  # L_z = (M+1)H
-    res = solve(small_system, DielectricSpec(0.6, 0.6), params)
-    assert len(res.warnings) == 1 and "divergent" in res.warnings[0]
-    assert math.isfinite(res.energy)
+@pytest.mark.parametrize("params", [EwaldParams(1.2, 3.0, 1.0, 0),
+                                    EwaldParams(0.8, 6.0, 7.0, 6),
+                                    EwaldParams(0.8, 6.0, 0.5, 0)],
+                         ids=["M=0,Lz=H", "Lz=(M+1)H", "Lz<H"])
+def test_elc_rejects_padding_at_or_below_image_stack(params):
+    system = gen_system(1)
+    spec = DielectricSpec(0.6, 0.6)
+    elc_on = CorrectionFlags(include_elc=True)
+    for call in (lambda: solve(system, spec, params),
+                 lambda: solve_levels(system, spec, params, elc_on),
+                 lambda: elc_correction(system, spec, params),
+                 lambda: elc_h_cutoff(spec, params.M, system.height, params.L_z)):
+        with pytest.raises(DomainError, match="diverges"):
+            call()
+    if params.L_z >= system.height:
+        res = solve(system, spec, params, CorrectionFlags(include_elc=False))
+        assert math.isfinite(res.energy) and np.all(np.isfinite(res.forces))
 
 
 @pytest.mark.parametrize("gu,gd", [(0.0, 0.0), (0.6, 0.6), (-1.0, -1.0),
@@ -270,26 +284,34 @@ def test_reciprocal_contraction_matches_loop(small_system, g, chunk_elements):
             assert f is None
 
 
-# (M, L_z, extra_shells): plain; nearly divergent, L_z <= (M+1)H and
-# L_z < (M+1)H; widened cutoff
+# (M, L_z, extra): plain; outside the domain, L_z = (M+1)H and L_z < (M+1)H;
+# ELC_TERM_FLOOR lowered to 1e-30, which must widen the cutoff by at least
+# `extra` in-plane shells
 ELC_CASES = [(6, 14.0, 0), (9, 10.0, 0), (9, 8.0, 0), (6, 14.0, 2)]
 
 
 @pytest.mark.parametrize("g", GAMMAS)
 @pytest.mark.parametrize("m,lz,extra", ELC_CASES)
-def test_elc_contraction_matches_loop(small_system, g, m, lz, extra, chunk_elements):
+def test_elc_contraction_matches_loop(small_system, g, m, lz, extra, chunk_elements,
+                                      monkeypatch):
     spec = DielectricSpec(g, g)
     params = EwaldParams(alpha=0.8, s=6.0, L_z=lz, M=m)
-    e_ref, f_ref, w_ref = elc_correction_loop(small_system, spec, params,
-                                              extra_shells=extra)
+    if lz <= (m + 1) * small_system.height:
+        for elc in (elc_correction_loop, elc_correction):
+            with pytest.raises(DomainError, match="diverges"):
+                elc(small_system, spec, params)
+        return
+    if extra:
+        h_max = elc_h_cutoff(spec, m, small_system.height, lz)[0]
+        monkeypatch.setattr(ewald3d, "ELC_TERM_FLOOR", 1e-30)
+        shell = 2 * math.pi / max(small_system.lx, small_system.ly)
+        assert elc_h_cutoff(spec, m, small_system.height, lz)[0] >= h_max + extra * shell
+    e_ref, f_ref = elc_correction_loop(small_system, spec, params)
     e_scale, f_scale = _term_scale(e_ref), _term_scale(f_ref)
-    e, f, w = elc_correction(small_system, spec, params, extra_shells=extra)
-    assert w == w_ref
-    assert (len(w) == 1) == (lz <= (m + 1) * small_system.height)
+    e, f = elc_correction(small_system, spec, params)
     assert np.abs(e - e_ref).max() <= 1e-14 * e_scale
     assert np.abs(f - f_ref).max() <= 1e-14 * f_scale
-    e_only, f_none, _ = elc_correction(small_system, spec, params, compute_forces=False,
-                                       extra_shells=extra)
+    e_only, f_none = elc_correction(small_system, spec, params, compute_forces=False)
     assert f_none is None
     assert np.abs(e_only - e_ref).max() <= 1e-14 * e_scale
 
@@ -351,10 +373,9 @@ def test_reciprocal_contraction_matches_loop_on_random_systems(case):
 @given(case=slab_cases())
 def test_elc_contraction_matches_loop_on_random_systems(case):
     system, spec, params, chunk = case
-    e_ref, f_ref, w_ref = elc_correction_loop(system, spec, params)
+    e_ref, f_ref = elc_correction_loop(system, spec, params)
     with mock.patch.object(ewald3d, "CHUNK_ELEMENTS", chunk):
-        e, f, w = elc_correction(system, spec, params)
-    assert w == w_ref == []
+        e, f = elc_correction(system, spec, params)
     # A force term is an energy term times an in-plane mode |h| of at most h_max.
     floor = _positive_charge_scale(
         lambda *a: elc_correction_loop(*a, compute_forces=False), system, spec, params)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import slabwald
 from slabwald.cli import main as cli_main
-from slabwald.core import DomainError, read_system
+from slabwald.core import DomainError, read_system, write_system
 from slabwald.harness import (CSV_HEADER, FitDegenerateError, SplitMix64,
                               SweepConfig, SweepRow, default_alpha, fit_decay,
                               force_rel_err, gen_system, parse_composition,
@@ -285,6 +285,17 @@ def test_cli_divergent_elc_exit_code(tmp_path, capsys):
     path.write_text("cell 1 1 1\n0.2 0.3 0.3 1.0\n0.7 0.6 0.8 -1.0\n")
     args = ["energy", str(path), "--solver", "ewald3d", "--gamma-u", "0.6",
             "--gamma-d", "0.6", "--alpha", "3", "--s", "4", "--Lz", "2", "--M", "10"]
+    assert cli_main(args) == 1
+    assert "diverges" in capsys.readouterr().err
+    assert cli_main(args + ["--no-elc"]) == 0
+
+
+@pytest.mark.parametrize("m,lz", [("0", "1"), ("6", "7")], ids=["M=0,Lz=H", "Lz=(M+1)H"])
+def test_cli_elc_at_image_stack_height_exit_code(tmp_path, capsys, m, lz):
+    path = tmp_path / "sys.txt"
+    write_system(path, gen_system(1))
+    args = ["energy", str(path), "--solver", "ewald3d", "--gamma-u", "0.6",
+            "--gamma-d", "0.6", "--alpha", "1.2", "--s", "3", "--Lz", lz, "--M", m]
     assert cli_main(args) == 1
     assert "diverges" in capsys.readouterr().err
     assert cli_main(args + ["--no-elc"]) == 0
