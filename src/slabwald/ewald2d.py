@@ -22,6 +22,7 @@ from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
                    image_scales)
 
 SQRT_PI = math.sqrt(math.pi)
+MAX_HVECTOR_GRID = 1 << 22  # (nx, ny) points `_half_plane_hvectors` may allocate, ~40 B each
 
 
 def g_alpha_terms(h, z, alpha):
@@ -96,6 +97,9 @@ def _half_plane_hvectors(lx: float, ly: float, k_c: float) -> np.ndarray:
     """In-plane reciprocal vectors with 0 < |h| <= k_c, one of each +-h pair."""
     nx_max = int(math.floor(k_c * lx / (2 * math.pi)))
     ny_max = int(math.floor(k_c * ly / (2 * math.pi)))
+    if (nx_max + 1) * (2 * ny_max + 1) > MAX_HVECTOR_GRID:
+        raise DomainError(f"in-plane mode grid of {(nx_max + 1) * (2 * ny_max + 1)} points "
+                          f"exceeds {MAX_HVECTOR_GRID}: cutoff |h| <= {k_c:g} is too large")
     nx, ny = np.mgrid[0:nx_max + 1, -ny_max:ny_max + 1]  # nx-major, as in a double loop
     hx = 2 * math.pi * nx / lx
     hy = 2 * math.pi * ny / ly

@@ -3,7 +3,8 @@
 The quasi-2D Fourier part is rewritten as a standard 3D reciprocal sum over the
 padded cell (L_x, L_y, L_z) against image-aware structure factors, plus a
 k=0-mode (YB) term and an inter-replica coupling (ELC) term, each independently
-switchable.  The real-space and self terms are shared with the reference solver.
+switchable.  The real-space and self terms are shared with the reference solver;
+real space stops at image level floor(r_c/H)+1, as no later level is within r_c.
 
 Every term reads the image series from one per-level table,
 `core.image_levels` (scale and z offset per level and plus/minus side), with no
@@ -13,6 +14,7 @@ returns it and `solve` reads level M from it.
 
 Everything is factored through per-particle structure factors, so cost is
 O(N · #k) rather than O(N^2 · #k), and per-image-level reductions come for free.
+The reciprocal sum orders its in-plane blocks by |h| and trims each chunk's k_z.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldPar
 
     blocks = np.vstack([[0.0, 0.0], _half_plane_hvectors(lx, ly, k_c)])
     hrho2 = blocks[:, 0] * blocks[:, 0] + blocks[:, 1] * blocks[:, 1]
+    order = np.argsort(hrho2, kind="stable")  # widest k_z column first, h = 0 leading
+    blocks, hrho2 = blocks[order], hrho2[order]
     # k_z column of each block: |k_z index| <= dz, i.e. |k| <= k_c
     dz = np.floor(np.sqrt(k_c * k_c - hrho2) * lz / (2 * math.pi))
     inv4a2 = 1.0 / (4.0 * alpha * alpha)
@@ -99,25 +103,29 @@ def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldPar
         t_b = np.zeros((nzed, 3 * n), dtype=complex)
         flip = np.repeat([-1.0, -1.0, 1.0], n)
 
-    chunk = max(1, CHUNK_ELEMENTS // max(nzed, 3 * n))
-    for lo in range(0, len(blocks), chunk):
-        hx = blocks[lo:lo + chunk, 0:1]
-        hy = blocks[lo:lo + chunk, 1:2]
-        h2 = hrho2[lo:lo + chunk, None]
+    lo = 0
+    while lo < len(blocks):
+        # k_z beyond the chunk's first (widest) column are dead for all its blocks
+        zs = slice(nz_max - int(dz[lo]), nz_max + int(dz[lo]) + 1)
+        hi = lo + max(1, CHUNK_ELEMENTS // max(zs.stop - zs.start, 3 * n))
+        hx = blocks[lo:hi, 0:1]
+        hy = blocks[lo:hi, 1:2]
+        h2 = hrho2[lo:hi, None]
         # the (0,0,-k_z) mirrors live in the h = 0 block: keep k_z > 0 only,
         # the global half-plane factor 2 supplies them
-        live = (np.abs(kz_index) <= dz[lo:lo + chunk, None]) & ((h2 > 0) | (kz > 0))
-        k2 = np.where(live, h2 + kz * kz, 1.0)
+        live = (np.abs(kz_index[zs]) <= dz[lo:hi, None]) & ((h2 > 0) | (kz[zs] > 0))
+        k2 = np.where(live, h2 + kz[zs] * kz[zs], 1.0)
         coef = np.where(live, np.exp(-k2 * inv4a2) / k2, 0.0)  # (B, NZ)
         qxy = q * np.exp(1j * (hx * pos[:, 0] + hy * pos[:, 1]))  # (B, N)
-        rho = qxy @ ez.T
-        lam = np.conj(qxy) @ ez.T
-        p_acc += np.sum(coef * (rho * np.conj(rho)), axis=0)
-        q_acc += np.sum(coef * rho * lam, axis=0)
+        rho = qxy @ ez[zs].T
+        lam = np.conj(qxy) @ ez[zs].T
+        p_acc[zs] += np.sum(coef * (rho * np.conj(rho)), axis=0)
+        q_acc[zs] += np.sum(coef * rho * lam, axis=0)
         if compute_forces:
             rhs = np.hstack([hx * qxy, hy * qxy, qxy])
-            t_a += (coef * np.conj(rho)).T @ rhs
-            t_b += (coef * lam).T @ rhs + (coef * rho).T @ (np.conj(rhs) * flip)
+            t_a[zs] += (coef * np.conj(rho)).T @ rhs
+            t_b[zs] += (coef * lam).T @ rhs + (coef * rho).T @ (np.conj(rhs) * flip)
+        lo = hi
 
     # half-plane of in-plane modes was enumerated; mirrors contribute the
     # complex conjugate, hence the overall 2 Re(...)
@@ -286,12 +294,15 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
     check_solvable(system, spec)
     if flags.include_elc:
         e_elc, f_elc = elc_correction(system, spec, params, compute_forces=compute_forces)
-    table = build_image_table(system, spec, params.M)
+    # a level-l image (l >= 2) is >= (l-1)H from every source: rows past m_real are 0
+    m_real = min(params.M, math.floor(params.r_c / system.height) + 1)
+    table = build_image_table(system, spec, m_real)
     e_real, f_real = _real_space_levels(system, table, params, compute_forces)
     e_four, f_four = _fourier3d_core(system, spec, params, compute_forces)
-    energies = {"real": np.cumsum(e_real), "fourier3d": e_four,
+    upto = np.minimum(np.arange(params.M + 1), m_real)  # repeats level m_real above it
+    energies = {"real": np.cumsum(e_real)[upto], "fourier3d": e_four,
                 "self": np.full(params.M + 1, self_energy(system, params.alpha))}
-    forces = [np.cumsum(f_real, axis=0), f_four] if compute_forces else []
+    forces = [np.cumsum(f_real, axis=0)[upto], f_four] if compute_forces else []
     if flags.include_yb:
         energies["yb"], f_yb = yb_correction(system, spec, params.M, params.L_z,
                                              compute_forces=compute_forces)

@@ -5,15 +5,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loop_oracles import elc_correction_loop, fourier3d_core_loop
 from slabwald import ewald3d
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
-                           image_position, image_series)
+                           check_solvable, image_position, image_series)
 from slabwald.errors import trapezoid_remainder_estimate
-from slabwald.ewald2d import energy_icm, forces_fd_check
+from slabwald.ewald2d import (_half_plane_hvectors, _real_space_levels, build_image_table,
+                              energy_icm, forces_fd_check)
 from slabwald.harness import gen_system
 from slabwald.ewald3d import (CorrectionFlags, elc_correction, elc_h_cutoff,
                               fourier3d_energy, solve, solve_levels, yb_correction)
@@ -284,6 +285,27 @@ def test_reciprocal_contraction_matches_loop(small_system, g, chunk_elements):
             assert f is None
 
 
+@pytest.mark.parametrize("g", GAMMAS)
+def test_reciprocal_sum_is_independent_of_chunk_size(small_system, g, monkeypatch):
+    """Chunks that mix k_z column widths, the h = 0 block among them, sum as one chunk does."""
+    spec = DielectricSpec(g, g)
+    params = EwaldParams(alpha=0.8, s=6.0, L_z=14.0, M=6)
+    e_ref, f_ref = fourier3d_core_loop(small_system, spec, params, True)
+    e_one, f_one = ewald3d._fourier3d_core(small_system, spec, params, True)
+    # column width of each block, widest (h = 0) first, as the contraction orders them
+    lx, ly, _ = small_system.cell
+    h2 = np.sort(np.sum(_half_plane_hvectors(lx, ly, params.k_c) ** 2, axis=1))
+    width = 2 * np.floor(np.sqrt(params.k_c ** 2 - np.append(0.0, h2))
+                         * params.L_z / (2 * math.pi)) + 1
+    for blocks in (16, 60):  # the first chunk holds 2 and 3 distinct widths
+        assert np.unique(width[:blocks]).size == 2 + (blocks > 16)
+        monkeypatch.setattr(ewald3d, "CHUNK_ELEMENTS", int(width[0]) * blocks)
+        e, f = ewald3d._fourier3d_core(small_system, spec, params, True)
+        for got, one, ref in ((e, e_one, e_ref), (f, f_one, f_ref)):
+            assert np.abs(got - one).max() <= 1e-14 * _term_scale(ref)
+            assert np.abs(got - ref).max() <= 1e-14 * _term_scale(ref)
+
+
 # (M, L_z, extra): plain; outside the domain, L_z = (M+1)H and L_z < (M+1)H;
 # ELC_TERM_FLOOR lowered to 1e-30, which must widen the cutoff by at least
 # `extra` in-plane shells
@@ -382,3 +404,77 @@ def test_elc_contraction_matches_loop_on_random_systems(case):
     h_max = elc_h_cutoff(spec, params.M, system.height, params.L_z)[0]
     assert np.abs(e - e_ref).max() <= 1e-14 * max(_term_scale(e_ref), floor)
     assert np.abs(f - f_ref).max() <= 1e-14 * max(_term_scale(f_ref), h_max * floor)
+
+
+@st.composite
+def cutoff_cases(draw):
+    """A random neutral system, walls and M, with r_c/H at a level boundary.
+
+    r_c is below H, exactly kH, or one ulp either side of kH (k = 1..5).  H is
+    dyadic so that kH is exact; s is the float nearest r_c alpha for which
+    s / alpha gives back exactly that r_c.
+    """
+    h = draw(st.integers(40, 256)) / 128.0
+    system = draw(slab_cases())[0]
+    system = ChargeSystem(system.positions * [1.0, 1.0, h / system.height],
+                          system.charges, system.cell[:2] + (h,))
+    gamma = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    spec = DielectricSpec(draw(gamma), draw(gamma))
+    k = draw(st.integers(1, 5))
+    r_c = draw(st.sampled_from([draw(st.floats(0.1, 0.99)) * h, k * h,
+                                np.nextafter(k * h, 0.0), np.nextafter(k * h, np.inf)]))
+    alpha = draw(st.floats(0.5, 3.0))
+    s = [c for c in (r_c * alpha, np.nextafter(r_c * alpha, 0.0),
+                     np.nextafter(r_c * alpha, np.inf)) if c / alpha == r_c]
+    assume(s)
+    try:
+        check_solvable(system, spec)
+    except DomainError:  # hypothesis can draw two charges at one point
+        assume(False)
+    m = draw(st.integers(0, 40))
+    return system, spec, EwaldParams(alpha, float(s[0]), (m + 2) * h, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cutoff_cases())
+def test_real_space_stops_at_cutoff_level_bit_for_bit(case):
+    """The real-space table stops at level floor(r_c/H)+1; every level 0..M is unchanged.
+
+    The reciprocal sum is replaced by zeros and YB and ELC are off, so the
+    sweep's forces are the real-space forces alone.
+    """
+    system, spec, params = case
+    built = []
+
+    def table(system_, spec_, m):
+        built.append(m)
+        return build_image_table(system_, spec_, m)
+
+    def no_fourier(system_, spec_, params_, compute_forces):
+        return np.zeros(params_.M + 1), np.zeros((params_.M + 1, system_.n, 3))
+
+    with mock.patch.object(ewald3d, "build_image_table", table), \
+            mock.patch.object(ewald3d, "_fourier3d_core", no_fourier):
+        sweep = solve_levels(system, spec, params, CorrectionFlags(False, False))
+    assert built == [min(params.M, math.floor(params.r_c / system.height) + 1)]
+    e, f = _real_space_levels(system, build_image_table(system, spec, params.M), params, True)
+    np.testing.assert_array_equal(sweep.term_energies["real"], np.cumsum(e))
+    np.testing.assert_array_equal(sweep.forces, np.cumsum(f, axis=0))
+
+
+def test_elc_mode_grid_is_bounded_before_allocation(small_system, monkeypatch):
+    """Just above the image stack h_max explodes; the grid size raises before np.mgrid runs.
+
+    10 x 10 cell, H = 1, M = 6, L_z = 7.001: h_max = ln(1e18) / 0.001, a grid
+    of 8.7e9 (n_x, n_y) points that would need about 130 GiB.
+    """
+    class NoGrid:
+        def __getitem__(self, key):
+            raise AssertionError("np.mgrid reached for an unbounded grid")
+
+    monkeypatch.setattr(np, "mgrid", NoGrid())
+    spec = DielectricSpec(0.6, 0.6)
+    params = EwaldParams(alpha=0.8, s=6.0, L_z=7.001, M=6)
+    for call in (solve, elc_correction):
+        with pytest.raises(DomainError, match=r"in-plane mode grid of 87\d{8} points"):
+            call(small_system, spec, params)
