@@ -14,6 +14,9 @@ from typing import Iterable
 import numpy as np
 
 NEUTRALITY_RTOL = 1e-12
+# Closest two charges may sit, a source to a source or to its own image: the
+# real-space force forms erfc(alpha r) / r^3, which overflows below r ~ 5e-103.
+MIN_SEPARATION = 1e-100
 
 
 class DomainError(ValueError):
@@ -72,7 +75,7 @@ class DielectricSpec:
     gamma_d: float
 
     def __post_init__(self):
-        if abs(self.gamma_u) > 1 or abs(self.gamma_d) > 1:
+        if not (abs(self.gamma_u) <= 1 and abs(self.gamma_d) <= 1):  # NaN fails too
             raise DomainError("reflection factors must satisfy |gamma| <= 1")
 
     @property
@@ -185,8 +188,10 @@ class EwaldParams:
     M: int
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.s <= 0:
-            raise DomainError("alpha and s must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.s < math.inf):
+            raise DomainError("alpha and s must be positive and finite")
+        if not math.isfinite(self.L_z):
+            raise DomainError("L_z must be finite")
         if self.M < 0:
             raise DomainError("M must be >= 0")
 
@@ -277,22 +282,25 @@ def check_solvable(system: ChargeSystem, spec: DielectricSpec) -> None:
     on a wall that reflects it: there it coincides with its own level-1 image
     -z + c (at z = c/2), and the pair energy is infinite.  So are two sources
     at one position once x and y are wrapped into the cell, with the
-    minimum-image arithmetic of the real-space sum.
+    minimum-image arithmetic of the real-space sum.  "At" means closer than
+    MIN_SEPARATION, where the pair force would overflow.
     """
     for v in validate(system):
         if v.invariant in ("neutrality", "confinement"):
             raise DomainError(f"{v.invariant}: {v.message}")
     scale, offset = image_levels(spec, 1, system.height)
     z = system.positions[:, 2]
-    on_wall = np.isin(z, offset[1, scale[1] != 0] / 2)
+    # a source's level-1 image sits |2z - c| away from it
+    on_wall = (np.abs(2 * z[:, None] - offset[1, scale[1] != 0]) < MIN_SEPARATION).any(axis=1)
     if on_wall.any():
         i = int(np.argmax(on_wall))
         raise DomainError(f"on-interface: z[{i}] = {z[i]:g} lies on a wall that "
                           "reflects it onto itself (gamma != 0)")
-    if np.unique(z).size < z.size:  # only sources that share a z can coincide
-        d = system.positions[:, None, :2] - system.positions[:, :2]
-        d -= np.array(system.cell[:2]) * np.round(d / system.cell[:2])
-        i, j = np.nonzero(np.triu(~d.any(axis=2) & (z[:, None] == z), k=1))
+    if (np.diff(np.sort(z)) < MIN_SEPARATION).any():  # only sources this close in z can coincide
+        d = system.positions[:, None, :] - system.positions
+        d[..., :2] -= np.array(system.cell[:2]) * np.round(d[..., :2] / system.cell[:2])
+        close = np.einsum("ijk,ijk->ij", d, d) < MIN_SEPARATION ** 2
+        i, j = np.nonzero(np.triu(close, k=1))
         if i.size:
             raise DomainError(f"coincident: particles {i[0]} and {j[0]} share a position")
 

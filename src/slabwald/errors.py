@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DielectricSpec, DomainError, EwaldParams, image_scales
+import numpy as np
+
+from .core import DielectricSpec, DomainError, EwaldParams, image_levels
 
 REGIME_TOL = 1e-12
 
@@ -68,28 +70,17 @@ def image_truncation_force(M: int, gamma_u: float, gamma_d: float,
     return image_truncation_energy(M, gamma_u, gamma_d, H, L_x, L_y) / n
 
 
-def c_gamma(spec_or_gammas, level: int) -> float:
-    """|gamma_+^(l)| + |gamma_-^(l)|, the per-level image amplitude."""
-    if isinstance(spec_or_gammas, DielectricSpec):
-        spec = spec_or_gammas
-    else:
-        spec = DielectricSpec(*spec_or_gammas)
-    g_plus, g_minus = image_scales(spec, level)
-    return abs(g_plus) + abs(g_minus)
-
-
 def elc_energy_estimate(M: int, gamma_u: float, gamma_d: float, H: float,
                         L_x: float, L_y: float, L_z: float) -> float:
     """Magnitude of the inter-replica (layer-coupling) term omitted by padding.
 
-    e^{-2 pi (L_z - H)/max} + sum_l C_gamma^(l) e^{-2 pi (L_z - (l+1)H)/max}.
+    sum_{l=0..M} (|gamma_+^(l)| + |gamma_-^(l)|) e^{-2 pi (L_z - (l+1)H)/max(L_x, L_y)},
+    over the image series of `core.image_levels`; level 0, the source itself
+    with scales (1, 0), gives the base term e^{-2 pi (L_z - H)/max}.
     """
-    mx = max(L_x, L_y)
-    total = math.exp(-2.0 * math.pi * (L_z - H) / mx)
-    for l in range(1, M + 1):
-        total += (c_gamma((gamma_u, gamma_d), l)
-                  * math.exp(-2.0 * math.pi * (L_z - (l + 1) * H) / mx))
-    return total
+    scale, _ = image_levels(DielectricSpec(gamma_u, gamma_d), M, H)
+    decay = np.exp(-2.0 * math.pi * (L_z - np.arange(1, M + 2) * H) / max(L_x, L_y))
+    return float(np.abs(scale).sum(axis=1) @ decay)
 
 
 def classify_regime(g_u: float, g_d: float) -> str:

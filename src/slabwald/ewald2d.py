@@ -63,13 +63,13 @@ class ImageTable:
     """Flat arrays describing source charges (level 0) plus all images up to M.
 
     Entries are ordered by level; `starts[l]` is the first entry of level l and
-    `starts[M+1]` == E.  Image z follows z_e = parity * z_source + z_offset.
+    `starts[M+1]` == E.  Image z follows z_e = parity * z_source + offset, with
+    the offset of `core.image_levels`.
     """
 
     src: np.ndarray      # (E,) int
     weight: np.ndarray   # (E,) image scale, 1 for level 0
     z: np.ndarray        # (E,) current z position
-    z_offset: np.ndarray # (E,)
     parity: np.ndarray   # (E,) +-1
     level: np.ndarray    # (E,) int
     starts: np.ndarray   # (M+2,) int
@@ -80,11 +80,10 @@ def build_image_table(system: ChargeSystem, spec: DielectricSpec, M: int) -> Ima
     scale, offset = image_levels(spec, M, system.height)
     level, side = np.nonzero(scale)  # existing images, by level then plus/minus
     parity = np.repeat(1.0 - 2.0 * (level % 2), n)
-    z_off = np.repeat(offset[level, side], n)
     src = np.tile(np.arange(n), len(level))
+    z = parity * system.positions[src, 2] + np.repeat(offset[level, side], n)
     starts = n * np.concatenate([[0], np.cumsum(np.count_nonzero(scale, axis=1))])
-    return ImageTable(src, np.repeat(scale[level, side], n),
-                      parity * system.positions[src, 2] + z_off, z_off, parity,
+    return ImageTable(src, np.repeat(scale[level, side], n), z, parity,
                       np.repeat(level, n), starts)
 
 
@@ -150,11 +149,11 @@ def _real_space_levels(system, table, params, compute_forces):
     dx0 = pos[:, 0:1] - pos[table.src, 0][None, :]
     dy0 = pos[:, 1:2] - pos[table.src, 1][None, :]
     dz = pos[:, 2:3] - table.z[None, :]
-    # wrap xy into the primary cell; replicas then cover the cutoff sphere
+    # wrap xy into the primary cell: replica m is then >= |m| L - L/2 away
     dx0 = dx0 - lx * np.round(dx0 / lx)
     dy0 = dy0 - ly * np.round(dy0 / ly)
-    mx_max = int(math.ceil((r_c + lx / 2) / lx))
-    my_max = int(math.ceil((r_c + ly / 2) / ly))
+    mx_max = int(math.floor((r_c + lx / 2) / lx))
+    my_max = int(math.floor((r_c + ly / 2) / ly))
 
     self_mask = (table.level[None, :] == 0) & (np.arange(n)[:, None] == table.src[None, :])
 

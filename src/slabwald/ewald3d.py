@@ -182,37 +182,11 @@ def yb_correction(system: ChargeSystem, spec: DielectricSpec, M: int, L_z: float
     return e_lv, f_lv
 
 
-def _elc_channels(spec: DielectricSpec, M: int, H: float, L_z: float):
-    """Decompose the inter-replica coupling into decaying-exponential channels.
-
-    Each channel contributes weight * e^{-h a} * A_p(h) conj(A_q(h)) per in-plane
-    mode, with per-particle factors u_i = e^{-h(H - z_i)} (side p = 0) and
-    v_i = e^{-h z_i} (side 1), both bounded by 1.  Every image of scale gamma at
-    level l opens two channels of weight gamma/2, one per side p, with offsets
-    a = L_z + (l-1)H and L_z - (l+1)H (in that order for the plus image, swapped
-    for the minus image); q is the other side on even levels and the same side
-    on odd ones.  The exponentially growing denominator 1 - e^{h L_z} is folded
-    in analytically, so every retained factor decays.
-
-    Returns flat arrays (slot, weight, a) with slot = 4 l + 2 p + q.
-    """
-    scale, _ = image_levels(spec, M, H)
-    level, side = np.nonzero(scale)
-    a_hi = L_z + (level - 1) * H
-    a_lo = L_z - (level + 1) * H
-    a = np.where(side == 0, [a_hi, a_lo], [a_lo, a_hi]).T  # (images, p)
-    p = np.arange(2)
-    q = p ^ (level[:, None] % 2 == 0)
-    slot = 4 * level[:, None] + 2 * p + q
-    weight = np.repeat(0.5 * scale[level, side], 2)
-    return slot.ravel(), weight, a.ravel()
-
-
 def elc_h_cutoff(spec: DielectricSpec, M: int, H: float, L_z: float):
     """Adaptive in-plane cutoff: largest term magnitude below the 1e-18 floor.
 
-    The channel series converges only while the image stack fits inside the
-    padding, L_z > (M+1)H; every channel offset a is then at least
+    The mode series converges only while the image stack fits inside the
+    padding, L_z > (M+1)H; every image offset a is then at least
     L_z - (M+1)H > 0.  Raises DomainError otherwise.  Returns (h_max, warnings);
     warnings is always empty and is kept for callers that unpack two values.
     """
@@ -227,9 +201,19 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
                    compute_forces: bool = True):
     """Inter-replica coupling along z of the padded-box sum, O(N) per mode.
 
-    The channels of `_elc_channels` fold, per in-plane mode, into one
-    coefficient C[level, side_i, side_j], which is contracted with the side sums
-    S_u, S_v and, for forces, with the per-particle factors.
+    Per in-plane mode h the coupling is a sum of decaying exponentials with
+    per-particle factors u_i = e^{-h(H - z_i)} (side p = 0) and v_i = e^{-h z_i}
+    (side 1), both bounded by 1, with side sums S_u, S_v.  Every image of scale
+    gamma in `core.image_levels` adds gamma/2 e^{-h a} to a coefficient C[l, p]
+    per side, with offsets a = L_z + (l-1)H and L_z - (l+1)H for p = 0, 1
+    (swapped for the minus image); an image that does not exist has scale 0 and
+    adds exactly 0.  C[l, p] couples side p with side q = 1 - p on even levels
+    and q = p on odd ones, and the energy is the sum of C[l, p] S_p conj(S_q).
+    C[l, p] = C[l, q] (on even levels gamma_+ = gamma_- and the offsets swap),
+    so the two conjugate halves of each force are equal and only one is
+    contracted with the per-particle factors.  The exponentially growing
+    denominator 1 - e^{h L_z} is folded in analytically, so every retained
+    factor decays.
 
     Returns (energies, forces) over cumulative levels 0..M; forces is None
     without compute_forces.  Raises DomainError unless L_z > (M+1)H
@@ -245,7 +229,12 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
     h_max = max(h_max, 2 * math.pi / max(lx, ly) * 1.001)  # at least one shell
 
     levels = M + 1
-    slot, w, a = _elc_channels(spec, M, H, L_z)
+    scale, _ = image_levels(spec, M, H)
+    l = np.arange(levels)[:, None]
+    a_hi, a_lo = L_z + (l - 1) * H, L_z - (l + 1) * H
+    a = np.stack([np.hstack([a_hi, a_lo]), np.hstack([a_lo, a_hi])], axis=1)  # (l, image, p)
+    w = 0.5 * scale[:, :, None, None]
+    partner = np.arange(2) ^ (l % 2 == 0)  # side q that side p couples with, (l, p)
     sig = np.array([[1.0], [-1.0]])  # sign of d/dz of the u and v factors, per h
 
     e_lv = np.zeros(levels)
@@ -253,30 +242,25 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
     z = pos[:, 2]
     base = -(2.0 * math.pi / (lx * ly)) * 2.0  # sign from folded denominator; 2 = half-plane
     hvecs = _half_plane_hvectors(lx, ly, h_max)
-    chunk = max(1, CHUNK_ELEMENTS // (2 * max(n, 3 * levels, len(w))))
+    chunk = max(1, CHUNK_ELEMENTS // (2 * max(n, 3 * levels, 2 * np.count_nonzero(scale))))
     for lo in range(0, len(hvecs), chunk):
         hx, hy = hvecs[lo:lo + chunk].T
         h = np.hypot(hx, hy)
         cc0 = base / (h * (1.0 - np.exp(-h * L_z)))
-        cc = cc0 * w[:, None] * np.exp(-a[:, None] * h)  # (channels, modes)
-        coeff = np.zeros((4 * levels, len(h)))
-        np.add.at(coeff, slot, cc)
-        coeff = coeff.reshape(levels, 2, 2, len(h))
+        coeff = (cc0 * w * np.exp(-a[..., None] * h)).sum(axis=1)  # C[l, p, modes]
 
         phase = q * np.exp(1j * (hx[:, None] * pos[:, 0] + hy[:, None] * pos[:, 1]))
         g = np.stack([phase * np.exp(-h[:, None] * (H - z)), phase * np.exp(-h[:, None] * z)])
         s = g.sum(axis=2)  # (2, modes)
-        d1 = np.einsum("lpqh,qh->lph", coeff, np.conj(s))  # sum_q C conj(S_q)
-        d2 = np.einsum("lpqh,ph->lqh", coeff, s)           # sum_p C S_p
-        e_lv += np.einsum("lph,ph->l", d1, s).real
+        d = coeff * np.conj(s)[partner]  # C[l, p] conj(S_q)
+        e_lv += np.einsum("lph,ph->l", d, s).real
         if compute_forces:
+            # the conj(S_q) half of the force is the conjugate of this S_p half
             wts = np.stack(np.broadcast_arrays(hx, hy, sig * h))[:, None]  # (3, 1, side, modes)
-            t1 = (d1 * wts).reshape(3 * levels, -1) @ g.reshape(-1, n)
-            t2 = (d2 * wts).reshape(3 * levels, -1) @ np.conj(g).reshape(-1, n)
-            t1, t2 = t1.reshape(3, levels, n), t2.reshape(3, levels, n)
-            f_lv[:, :, 0] += (t1[0] - t2[0]).imag
-            f_lv[:, :, 1] += (t1[1] - t2[1]).imag
-            f_lv[:, :, 2] -= (t1[2] + t2[2]).real
+            t = ((d * wts).reshape(3 * levels, -1) @ g.reshape(-1, n)).reshape(3, levels, n)
+            f_lv[:, :, 0] += 2.0 * t[0].imag
+            f_lv[:, :, 1] += 2.0 * t[1].imag
+            f_lv[:, :, 2] -= 2.0 * t[2].real
     if compute_forces:
         f_lv = np.cumsum(f_lv, axis=0)
     return np.cumsum(e_lv), f_lv

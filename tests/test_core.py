@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabwald.core import (ChargeSystem, DielectricSpec, DomainError,
+from slabwald.core import (MIN_SEPARATION, ChargeSystem, DielectricSpec, DomainError,
                            EnergyForces, EwaldParams, check_solvable, image_levels,
                            image_position, image_scales, image_series,
                            image_z_offsets, read_system, reflection_factors,
@@ -44,8 +44,11 @@ def test_charge_system_arrays_are_frozen(pair_system):
 
 
 def test_dielectric_spec_bounds():
-    with pytest.raises(DomainError):
-        DielectricSpec(1.5, 0.0)
+    for bad in (1.5, -1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            DielectricSpec(bad, 0.0)
+        with pytest.raises(DomainError):
+            DielectricSpec(0.5, bad)
     assert DielectricSpec(0.0, 0.0).polarizable is False
     assert DielectricSpec(0.0, -1.0).polarizable is True
 
@@ -167,9 +170,9 @@ def test_image_table_matches_image_series(gu, gd, m, h):
     np.testing.assert_array_equal(table.z[:n], system.positions[:, 2])
     assert np.all(table.weight[:n] == 1.0) and np.all(table.level[:n] == 0)
     got = list(zip(table.src[n:], table.level[n:], table.weight[n:], table.z[n:],
-                   table.z_offset[n:], table.parity[n:]))
-    assert got == [(i.source, i.level, i.scale, image_position(i, system)[2],
-                    i.z_offset, i.parity) for i in want]
+                   table.parity[n:]))
+    assert got == [(i.source, i.level, i.scale, image_position(i, system)[2], i.parity)
+                   for i in want]
     levels = [0] * n + [i.level for i in want]
     np.testing.assert_array_equal(table.starts, np.searchsorted(levels, np.arange(m + 2)))
     scale, offset = image_levels(spec, m, h)
@@ -194,6 +197,10 @@ def test_ewald_params_derived_quantities():
         EwaldParams(alpha=0.0, s=4.0, L_z=12.0, M=3)
     with pytest.raises(DomainError):
         EwaldParams(alpha=1.0, s=4.0, L_z=12.0, M=-1)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("alpha", "s", "L_z"):
+            with pytest.raises(DomainError):
+                EwaldParams(**{"alpha": 1.0, "s": 4.0, "L_z": 12.0, "M": 3, name: bad})
 
 
 def test_energy_forces_breakdown_consistency():
@@ -237,6 +244,8 @@ CONTRACT_CASES = {
     # onto particle 1, and onto its replica one cell along x
     "coincident": (dict(enumerate(_P1)), 0.0, "coincident"),
     "coincident+Lx": ({0: _P1[0] + 10.0, 1: _P1[1], 2: _P1[2]}, 0.0, "coincident"),
+    # closer to its own image than MIN_SEPARATION
+    "z=1e-107": ({2: 1e-107}, 0.0, "on-interface"),
 }
 
 
@@ -258,6 +267,21 @@ def test_solvers_reject_inputs_outside_contract(case, solver):
     params = select_all(ToleranceRequest(1e-4, (10.0, 10.0, 1.0), spec)).params
     with pytest.raises(DomainError, match=CONTRACT_CASES[case][2]):
         solver(ChargeSystem(*contract_case(case)), spec, params)
+
+
+@pytest.mark.parametrize("solver", [solve, energy_icm], ids=["ewald3d", "ewald2d"])
+@pytest.mark.parametrize("dx", [1e-107, 1e-200])
+def test_sources_closer_than_min_separation_are_rejected(dx, solver):
+    """The real-space force's 1/r^3 overflows at 1e-107; at 1e-200 r^2 is 0 outright."""
+    pos = np.array([[dx, 0.0, 0.5], [0.0, 0.0, 0.5], [5.0, 5.0, 0.3], [5.0, 2.0, 0.6]])
+    system = ChargeSystem(pos, np.array([1.0, -1.0, 1.0, -1.0]), (10.0, 10.0, 1.0))
+    spec = DielectricSpec(0.6, 0.6)
+    params = select_all(ToleranceRequest(1e-4, (10.0, 10.0, 1.0), spec)).params
+    with pytest.raises(DomainError, match="coincident: particles 0 and 1"):
+        solver(system, spec, params)
+    pos = pos.copy()
+    pos[0, 0] = MIN_SEPARATION
+    check_solvable(ChargeSystem(pos, system.charges, system.cell), spec)
 
 
 def test_sources_sharing_only_xy_or_only_z_are_solvable():

@@ -2,15 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabwald.core import DielectricSpec, DomainError, EwaldParams
-from slabwald.errors import (ErrorBudget, amplification_factor, c_gamma,
-                             classify_regime, elc_energy_estimate, half_levels,
-                             image_truncation_energy, image_truncation_force,
-                             leading_order, splitting_error, total_budget)
+from slabwald.core import DielectricSpec, DomainError, EwaldParams, image_levels
+from slabwald.errors import (ErrorBudget, amplification_factor, classify_regime,
+                             elc_energy_estimate, half_levels, image_truncation_energy,
+                             image_truncation_force, leading_order, splitting_error,
+                             total_budget)
 
 
 def test_half_levels():
@@ -56,22 +57,25 @@ def test_truncation_bounds_monotone_in_M(m, gu, gd):
 
 
 def test_c_gamma_values():
-    spec = DielectricSpec(0.25, -0.5)
-    assert c_gamma(spec, 1) == pytest.approx(0.75)
-    assert c_gamma((0.25, -0.5), 2) == pytest.approx(0.25)
-    assert c_gamma(spec, 3) == pytest.approx(0.5**2 * 0.25 + 0.5 * 0.25**2)
+    """|gamma_+^(l)| + |gamma_-^(l)|, the amplitude the ELC estimate weights level l by."""
+    scale, _ = image_levels(DielectricSpec(0.25, -0.5), 3, 1.0)
+    np.testing.assert_allclose(np.abs(scale).sum(axis=1),
+                               [1.0, 0.75, 0.25, 0.5**2 * 0.25 + 0.5 * 0.25**2],
+                               rtol=1e-15)
 
 
 def test_elc_estimate_hand_sum():
-    gu = gd = 0.5
-    h, lx, ly, lz = 1.0, 10.0, 10.0, 12.0
-    mx = 10.0
-    want = math.exp(-2 * math.pi * (lz - h) / mx)
-    for lvl in (1, 2):
-        want += c_gamma((gu, gd), lvl) * math.exp(
-            -2 * math.pi * (lz - (lvl + 1) * h) / mx)
-    assert elc_energy_estimate(2, gu, gd, h, lx, ly, lz) == pytest.approx(
-        want, rel=1e-15)
+    gu, gd = 0.25, -0.5
+    h, lx, ly, lz = 1.0, 10.0, 12.0, 12.0
+    # |gamma_+^(l)| + |gamma_-^(l)|: level 0 is the source, then the image pairs
+    amplitude = [1.0, 0.75, 0.25, 0.5**2 * 0.25 + 0.5 * 0.25**2]
+    want = sum(c * math.exp(-2 * math.pi * (lz - (lvl + 1) * h) / 12.0)
+               for lvl, c in enumerate(amplitude))
+    assert elc_energy_estimate(3, gu, gd, h, lx, ly, lz) == pytest.approx(want, rel=1e-15)
+    assert elc_energy_estimate(0, gu, gd, h, lx, ly, lz) == pytest.approx(
+        math.exp(-2 * math.pi * (lz - h) / 12.0), rel=1e-15)
+    with pytest.raises(DomainError):
+        elc_energy_estimate(-1, gu, gd, h, lx, ly, lz)
 
 
 def test_elc_estimate_monotone_in_Lz():

@@ -9,9 +9,9 @@ from scipy.integrate import quad
 
 from loop_oracles import half_plane_hvectors_loop
 from slabwald.core import ChargeSystem, DielectricSpec, EwaldParams
-from slabwald.ewald2d import (_half_plane_hvectors, build_image_table,
-                              energy_homogeneous, energy_icm, forces_fd_check,
-                              g0_alpha, g_alpha, icm_level_sweep,
+from slabwald.ewald2d import (_half_plane_hvectors, _real_space_levels,
+                              build_image_table, energy_homogeneous, energy_icm,
+                              forces_fd_check, g0_alpha, g_alpha, icm_level_sweep,
                               spectral_image_energy)
 
 
@@ -108,6 +108,30 @@ def test_build_image_table_structure(pair_system):
     # pruned wall: gamma_u = 0 keeps only the single lower reflection
     one = build_image_table(pair_system, DielectricSpec(0.0, 0.5), 3)
     assert list(one.starts) == [0, n, 2 * n, 2 * n, 2 * n]
+
+
+def test_real_space_counts_replica_pairs_at_exactly_r_c():
+    """Charges L/2 apart in x sit at exactly r_c = L/2 from each other both in
+    the primary cell and in one x-replica; every such pair counts."""
+    lx = 4.0
+    params = EwaldParams(alpha=1.5, s=3.0, L_z=2.0, M=0)
+    assert params.r_c == 2.0
+    pos = np.array([[1.0, 2.0, 0.5], [3.0, 2.0, 0.5]])
+    q = np.array([1.0, -1.0])
+    system = ChargeSystem(pos, q, (lx, lx, 1.0))
+    e, f = _real_space_levels(system, build_image_table(system, DielectricSpec(0.0, 0.0), 0),
+                              params, True)
+    want = 0.0
+    for i in range(2):
+        for j in range(2):
+            for mx in range(-3, 4):
+                for my in range(-3, 4):
+                    r = math.hypot(pos[i, 0] - pos[j, 0] + mx * lx, my * lx)
+                    if 0 < r <= params.r_c:
+                        want += 0.5 * q[i] * q[j] * math.erfc(params.alpha * r) / r
+    assert want == pytest.approx(-math.erfc(3.0), rel=1e-15)  # four ordered pairs
+    assert e[0] == pytest.approx(want, rel=1e-15)
+    np.testing.assert_array_equal(f[0], 0.0)  # the two replicas pull in opposite directions
 
 
 def test_alpha_independence_homogeneous(small_system):

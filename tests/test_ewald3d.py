@@ -356,9 +356,10 @@ def test_solve_calls_elc_once(small_system, monkeypatch):
 def slab_cases(draw):
     """A random neutral system with its walls, truncation level and padded box.
 
-    N = 2..6 charges at z in (0.05, 0.95)H, gamma_u and gamma_d in [-1, 1],
-    M = 0..6 and L_z at least H above the image stack (M+1)H; contractions run
-    in one chunk or in many 64-element ones.
+    N = 2..6 charges at z in (0.05, 0.95)H, gamma_u and gamma_d in [-1, 1]
+    (exactly 0 and +-1 among them, for one-sided and wall-free specs), M = 0..6
+    and L_z at least H above the image stack (M+1)H; contractions run in one
+    chunk or in many 64-element ones.
     """
     n = draw(st.integers(2, 6))
     lx, ly = draw(st.floats(2.0, 4.0)), draw(st.floats(2.0, 4.0))
@@ -369,7 +370,7 @@ def slab_cases(draw):
     q = np.array([draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
                   for _ in range(n - 1)])
     system = ChargeSystem(pos, np.append(q, -q.sum()), (lx, ly, h))
-    gamma = st.floats(-1.0, 1.0)
+    gamma = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
     spec = DielectricSpec(draw(gamma), draw(gamma))
     m = draw(st.integers(0, 6))
     lz = (m + 1) * h + draw(st.floats(1.0, 4.0)) * h

@@ -261,6 +261,18 @@ def test_cli_validation_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver", ["icm2d", "ewald3d"])
+@pytest.mark.parametrize("option,value", [("--alpha", "nan"), ("--s", "inf"),
+                                          ("--Lz", "nan"), ("--gamma-u", "nan")])
+def test_cli_rejects_non_finite_parameters(tmp_path, capsys, option, value, solver):
+    path = tmp_path / "sys.txt"
+    write_system(path, gen_system(1))
+    args = ["energy", str(path), "--solver", solver, "--alpha", "1.2", "--s", "3",
+            "--Lz", "16", "--M", "9", option, value]
+    assert cli_main(args) == 1
+    assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["icm2d", "ewald3d"])
 @pytest.mark.parametrize("case", CONTRACT_CASES)
 def test_cli_rejects_inputs_outside_contract(tmp_path, capsys, case, solver):
     pos, q, cell = contract_case(case)
