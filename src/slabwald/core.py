@@ -311,19 +311,22 @@ def read_system(path) -> ChargeSystem:
     pos: list[list[float]] = []
     q: list[float] = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             tok = line.split()
-            if tok[0] == "cell":
-                if len(tok) != 4:
-                    raise DomainError(f"bad cell line: {raw!r}")
-                cell = (float(tok[1]), float(tok[2]), float(tok[3]))
+            kind = "cell" if tok[0] == "cell" else "particle"
+            if len(tok) != 4:
+                raise DomainError(f"bad {kind} line: {raw!r}")
+            try:
+                vals = [float(t) for t in (tok[1:] if kind == "cell" else tok)]
+            except ValueError:
+                raise DomainError(f"line {lineno}: non-numeric field in {kind} line "
+                                  f"{raw!r}") from None
+            if kind == "cell":
+                cell = tuple(vals)
             else:
-                if len(tok) != 4:
-                    raise DomainError(f"bad particle line: {raw!r}")
-                vals = [float(t) for t in tok]
                 pos.append(vals[:3])
                 q.append(vals[3])
     if cell is None:

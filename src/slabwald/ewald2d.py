@@ -1,9 +1,11 @@
 """Exact doubly periodic Ewald solver, with and without image charges.
 
-This is the O(N^2) reference: every quantity is summed pairwise, replicas are
-iterated explicitly, and results are produced per image level so that
-truncation sweeps cost one full evaluation: `icm_level_sweep` returns a
-`core.LevelSweep` and `energy_icm` reads level M from it.
+This is the O(N^2) reference: every quantity is summed pairwise over dense
+(target i, image block k, source j) arrays, where a block is all N sources
+under one level's affine z-map (`ImageTable`), and replicas are iterated
+explicitly.  Results are produced per image level so that truncation sweeps
+cost one full evaluation: `icm_level_sweep` returns a `core.LevelSweep` and
+`energy_icm` reads level M from it.
 
 All routines are pure functions of immutable inputs and safe to call
 concurrently.
@@ -60,31 +62,27 @@ def g0_alpha(z, alpha):
 
 @dataclass(frozen=True)
 class ImageTable:
-    """Flat arrays describing source charges (level 0) plus all images up to M.
+    """The sources (block 0) and their images up to level M, one row per image block.
 
-    Entries are ordered by level; `starts[l]` is the first entry of level l and
-    `starts[M+1]` == E.  Image z follows z_e = parity * z_source + offset, with
-    the offset of `core.image_levels`.
+    A block is all N sources under one affine z-map: one (level, side) of
+    `core.image_levels` with a non-zero scale, in its order (by level, plus
+    before minus).  Block k places source j at z[k, j] = parity[k] z_j + offset.
+    A level whose images do not exist has no block.
     """
 
-    src: np.ndarray      # (E,) int
-    weight: np.ndarray   # (E,) image scale, 1 for level 0
-    z: np.ndarray        # (E,) current z position
-    parity: np.ndarray   # (E,) +-1
-    level: np.ndarray    # (E,) int
-    starts: np.ndarray   # (M+2,) int
+    level: np.ndarray   # (K,) int
+    weight: np.ndarray  # (K,) image scale, 1 for block 0
+    parity: np.ndarray  # (K,) +-1
+    z: np.ndarray       # (K, N) image z positions
+    n_levels: int       # M + 1 output levels
 
 
 def build_image_table(system: ChargeSystem, spec: DielectricSpec, M: int) -> ImageTable:
-    n = system.n
     scale, offset = image_levels(spec, M, system.height)
     level, side = np.nonzero(scale)  # existing images, by level then plus/minus
-    parity = np.repeat(1.0 - 2.0 * (level % 2), n)
-    src = np.tile(np.arange(n), len(level))
-    z = parity * system.positions[src, 2] + np.repeat(offset[level, side], n)
-    starts = n * np.concatenate([[0], np.cumsum(np.count_nonzero(scale, axis=1))])
-    return ImageTable(src, np.repeat(scale[level, side], n), z, parity,
-                      np.repeat(level, n), starts)
+    parity = 1.0 - 2.0 * (level % 2)
+    z = parity[:, None] * system.positions[:, 2] + offset[level, side][:, None]
+    return ImageTable(level, scale[level, side], parity, z, M + 1)
 
 
 def self_energy(system: ChargeSystem, alpha: float) -> float:
@@ -108,31 +106,29 @@ def _half_plane_hvectors(lx: float, ly: float, k_c: float) -> np.ndarray:
 
 
 def _level_sums(table, coeff, kernel, grad):
-    """Per-level energies and forces of a pair sum over (particle i, table entry).
+    """Per-level energies and forces of a pair sum over (target i, block k, source j).
 
-    coeff (N, E) holds the charge products, kernel (N, E) the pair energy
-    kernel, and grad, when forces are wanted, the per-axis (N, E) kernel
-    gradients with respect to r_i (None for an axis with no force).  Each
-    gradient acts on its target particle i and, since the separation depends
-    on the source position through the affine image map, on the entry's
-    source, with the sign of the image's z-parity along z.
+    coeff (N, K, N) holds the charge products, kernel (N, K, N) the pair
+    energy kernel, and grad, when forces are wanted, the per-axis (N, K, N)
+    kernel gradients with respect to r_i (None for an axis with no force).
+    Each gradient acts on its target i and, since the separation depends on
+    the source position through the affine image map, on the source j, with
+    the sign of the block's z-parity along z.  Blocks are summed per level by
+    one (M+1, K) indicator product; a level with no block is a zero row.
     """
-    levels = [slice(a, b) for a, b in zip(table.starts[:-1], table.starts[1:])]
-    per_entry = (coeff * kernel).sum(axis=0)
-    e_levels = np.array([per_entry[sl].sum() for sl in levels])
+    to_level = (table.level == np.arange(table.n_levels)[:, None]).astype(float)
+    e_levels = to_level @ (coeff * kernel).sum(axis=0).sum(axis=1)
     if grad is None:
         return e_levels, None
-    f_levels = np.zeros((len(levels), coeff.shape[0], 3))
+    f_levels = np.zeros((table.n_levels, coeff.shape[0], 3))
     for ax, g_ax in enumerate(grad):
         if g_ax is None:
             continue
         g_ax = coeff * g_ax
-        for l, sl in enumerate(levels):
-            src_sum = g_ax[:, sl].sum(axis=0)
-            if ax == 2:
-                src_sum *= table.parity[sl]
-            f_levels[l, :, ax] -= g_ax[:, sl].sum(axis=1)
-            np.add.at(f_levels[l, :, ax], table.src[sl], src_sum)
+        src_sum = g_ax.sum(axis=0)  # (K, N)
+        if ax == 2:
+            src_sum *= table.parity[:, None]
+        f_levels[:, :, ax] = to_level @ (src_sum - g_ax.sum(axis=2).T)
     return e_levels, f_levels
 
 
@@ -140,22 +136,20 @@ def _real_space_levels(system, table, params, compute_forces):
     """Per-level real-space energies and forces (short-range erfc sum)."""
     lx, ly = system.lx, system.ly
     alpha, r_c = params.alpha, params.r_c
-    n = system.n
     pos = system.positions
     q = system.charges
-    qi = q[:, None]
-    qe = (table.weight * q[table.src])[None, :]
+    coeff = 0.5 * q[:, None, None] * (table.weight[:, None] * q)
 
-    dx0 = pos[:, 0:1] - pos[table.src, 0][None, :]
-    dy0 = pos[:, 1:2] - pos[table.src, 1][None, :]
-    dz = pos[:, 2:3] - table.z[None, :]
+    # pair arrays are (target i, block k, source j); xy separations depend on (i, j) only
+    dx0 = pos[:, None, None, 0] - pos[:, 0]
+    dy0 = pos[:, None, None, 1] - pos[:, 1]
+    dz = pos[:, None, None, 2] - table.z
     # wrap xy into the primary cell: replica m is then >= |m| L - L/2 away
     dx0 = dx0 - lx * np.round(dx0 / lx)
     dy0 = dy0 - ly * np.round(dy0 / ly)
     mx_max = int(math.floor((r_c + lx / 2) / lx))
     my_max = int(math.floor((r_c + ly / 2) / ly))
-
-    self_mask = (table.level[None, :] == 0) & (np.arange(n)[:, None] == table.src[None, :])
+    diag = np.arange(system.n)  # the self pairs: block 0, i == j
 
     pair_e = np.zeros_like(dz)
     grad = np.zeros((3,) + dz.shape) if compute_forces else None
@@ -167,7 +161,7 @@ def _real_space_levels(system, table, params, compute_forces):
             r2 = dx * dx + dy * dy + dz * dz
             mask = r2 <= r_c * r_c
             if mx == 0 and my == 0:
-                mask &= ~self_mask
+                mask[diag, 0, diag] = False
             if not mask.any():
                 continue
             r = np.sqrt(r2, where=mask, out=np.ones_like(r2))
@@ -184,7 +178,7 @@ def _real_space_levels(system, table, params, compute_forces):
                 grad[1] += dphi_over_r * dy
                 grad[2] += dphi_over_r * dz
 
-    return _level_sums(table, 0.5 * qi * qe, pair_e, grad)
+    return _level_sums(table, coeff, pair_e, grad)
 
 
 def _fourier_levels(system, table, params, compute_forces):
@@ -193,10 +187,9 @@ def _fourier_levels(system, table, params, compute_forces):
     alpha = params.alpha
     pos = system.positions
     q = system.charges
-    # full ordered double sum (i, entry): no 1/2 here, unlike the real-space term
-    coeff = q[:, None] * (table.weight * q[table.src])[None, :]
-    zd = pos[:, 2:3] - table.z[None, :]
-    exy = pos[table.src][:, :2]
+    # full ordered double sum over (i, k, j): no 1/2 here, unlike the real-space term
+    coeff = q[:, None, None] * (table.weight[:, None] * q)
+    zd = pos[:, None, None, 2] - table.z
 
     hvecs = _half_plane_hvectors(lx, ly, params.k_c)
     acc_e = np.zeros_like(zd)
@@ -207,16 +200,14 @@ def _fourier_levels(system, table, params, compute_forces):
     for hx, hy in hvecs:
         h = math.hypot(hx, hy)
         a = hx * pos[:, 0] + hy * pos[:, 1]
-        b = hx * exy[:, 0] + hy * exy[:, 1]
         ca, sa = np.cos(a), np.sin(a)
-        cb, sb = np.cos(b), np.sin(b)
-        cphase = ca[:, None] * cb[None, :] + sa[:, None] * sb[None, :]
+        cphase = (ca[:, None] * ca + sa[:, None] * sa)[:, None]  # cos(a_i - a_j), (N, 1, N)
         tp, tm = g_alpha_terms(h, zd, alpha)
         g = tp + tm
         pref = base / h
         acc_e += (pref * cphase) * g
         if compute_forces:
-            sphase = sa[:, None] * cb[None, :] - ca[:, None] * sb[None, :]
+            sphase = (sa[:, None] * ca - ca[:, None] * sa)[:, None]
             gm = tp - tm  # dG/dz = h * gm
             s_g = pref * sphase * g
             acc[0] += -hx * s_g
@@ -231,8 +222,8 @@ def _j0_levels(system, table, params, compute_forces):
     lx, ly = system.lx, system.ly
     alpha = params.alpha
     q = system.charges
-    coeff = -(math.pi / (lx * ly)) * q[:, None] * (table.weight * q[table.src])[None, :]
-    zd = system.positions[:, 2:3] - table.z[None, :]
+    coeff = -(math.pi / (lx * ly)) * q[:, None, None] * (table.weight[:, None] * q)
+    zd = system.positions[:, None, None, 2] - table.z
 
     grad = (None, None, erf(alpha * zd)) if compute_forces else None  # d/dz of g0_alpha
     return _level_sums(table, coeff, g0_alpha(zd, alpha), grad)
@@ -255,7 +246,6 @@ def icm_level_sweep(system: ChargeSystem, spec: DielectricSpec,
     e_j0, f_j0 = _j0_levels(system, table, params, compute_forces)
     self_e = self_energy(system, params.alpha)
 
-    # table blocks are indexed by physical level directly (empty blocks allowed)
     term_e = {"real": e_real, "fourier": e_four, "j0": e_j0,
               "self": np.zeros(m + 1)}
     term_e["self"][0] = self_e
@@ -324,11 +314,11 @@ def spectral_image_energy(system: ChargeSystem, spec: DielectricSpec,
     as scalar geometric-type series per in-plane mode.  Convergence in the mode
     sum is certified adaptively (three consecutive quiet shells), on top of the
     e^{-2hH} < 1e-18 baseline; truncating on the baseline alone under-resolves
-    sources close to a wall.
+    sources close to a wall.  Raises DomainError for an input outside the
+    solvers' contract (`core.check_solvable`).
     """
+    check_solvable(system, spec)
     lx, ly, H = system.cell
-    if H <= 0 or (abs(spec.gamma_u * spec.gamma_d) >= 1.0 and H == 0.0):
-        raise DomainError("non-convergent configuration")
     if abs(spec.gamma_u * spec.gamma_d) >= 1.0 and M_large < 1:
         raise DomainError("M_large too small")
     if params is None:

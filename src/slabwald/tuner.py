@@ -27,8 +27,8 @@ class ToleranceRequest:
             raise DomainError("epsilon must be in (0, 1)")
         if self.rounding not in ("ceil", "nearest"):
             raise DomainError("rounding must be 'ceil' or 'nearest'")
-        if any(g <= 0 for g in self.geometry):
-            raise DomainError("geometry lengths must be positive")
+        if not all(0 < g < math.inf for g in self.geometry):  # NaN fails too
+            raise DomainError("geometry lengths must be positive and finite")
 
 
 def _round_up(value: float, mode: str) -> int:

@@ -154,27 +154,29 @@ _gamma = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
 @settings(max_examples=60, deadline=None)
 @given(gu=_gamma, gd=_gamma, m=st.integers(0, 40), h=st.floats(0.05, 20.0))
 def test_image_table_matches_image_series(gu, gd, m, h):
-    """The array table lists exactly image_series' images, bit for bit.
+    """Each table block is one (level, side) group of image_series, bit for bit.
 
-    Table order is level, then plus before minus, then source; image_series
-    interleaves plus and minus per source, so it is stably sorted first.
+    Block 0 is the sources themselves; the image blocks follow in level order,
+    plus before minus, each listing every source in index order.
     """
     system = ChargeSystem(np.array([[0.5, 0.5, 0.3 * h], [1.5, 0.5, 0.9 * h]]),
                           np.array([1.0, -1.0]), (4.0, 4.0, h))
     spec = DielectricSpec(gu, gd)
     table = build_image_table(system, spec, m)
-    want = sorted(image_series(system, spec, m), key=lambda i: (i.level, i.side != "plus"))
-    n = system.n
-    assert len(table.src) == n + len(want)
-    np.testing.assert_array_equal(table.src[:n], np.arange(n))
-    np.testing.assert_array_equal(table.z[:n], system.positions[:, 2])
-    assert np.all(table.weight[:n] == 1.0) and np.all(table.level[:n] == 0)
-    got = list(zip(table.src[n:], table.level[n:], table.weight[n:], table.z[n:],
-                   table.parity[n:]))
-    assert got == [(i.source, i.level, i.scale, image_position(i, system)[2], i.parity)
-                   for i in want]
-    levels = [0] * n + [i.level for i in want]
-    np.testing.assert_array_equal(table.starts, np.searchsorted(levels, np.arange(m + 2)))
+    groups: dict = {}
+    for img in image_series(system, spec, m):
+        groups.setdefault((img.level, img.side), []).append(img)
+    keys = sorted(groups, key=lambda key: (key[0], key[1] != "plus"))
+    assert table.n_levels == m + 1
+    assert table.level.tolist() == [0] + [level for level, _ in keys]
+    assert table.z.shape == (1 + len(keys), system.n)
+    assert table.z[0].tolist() == system.positions[:, 2].tolist()
+    assert (table.weight[0], table.parity[0]) == (1.0, 1.0)
+    for k, key in enumerate(keys, start=1):
+        imgs = groups[key]
+        assert [i.source for i in imgs] == list(range(system.n))
+        assert {(i.scale, i.parity) for i in imgs} == {(table.weight[k], table.parity[k])}
+        assert table.z[k].tolist() == [image_position(i, system)[2] for i in imgs]
     scale, offset = image_levels(spec, m, h)
     assert scale.shape == offset.shape == (m + 1, 2)
     assert all(tuple(scale[l]) == image_scales(spec, l)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from loop_oracles import half_plane_hvectors_loop
-from slabwald.core import ChargeSystem, DielectricSpec, EwaldParams
+from slabwald.core import ChargeSystem, DielectricSpec, DomainError, EwaldParams
 from slabwald.ewald2d import (_half_plane_hvectors, _real_space_levels,
                               build_image_table, energy_homogeneous, energy_icm,
                               forces_fd_check, g0_alpha, g_alpha, icm_level_sweep,
@@ -99,15 +99,20 @@ def test_half_plane_hvectors_match_loop(lx, ly, k_c):
 def test_build_image_table_structure(pair_system):
     spec = DielectricSpec(0.5, -0.25)
     table = build_image_table(pair_system, spec, 3)
-    n = pair_system.n
-    assert list(table.starts) == [0, n, 3 * n, 5 * n, 7 * n]
-    assert set(table.level[:n]) == {0}
+    assert table.n_levels == 4
+    assert table.level.tolist() == [0, 1, 1, 2, 2, 3, 3]  # one block per (level, side)
+    assert table.z.shape == (7, pair_system.n)
     # odd levels reflect, even levels translate
-    assert all(table.parity[table.level % 2 == 1] == -1)
-    assert all(table.parity[table.level % 2 == 0] == 1)
+    assert table.parity.tolist() == [1, -1, -1, 1, 1, -1, -1]
     # pruned wall: gamma_u = 0 keeps only the single lower reflection
     one = build_image_table(pair_system, DielectricSpec(0.0, 0.5), 3)
-    assert list(one.starts) == [0, n, 2 * n, 2 * n, 2 * n]
+    assert one.level.tolist() == [0, 1] and one.n_levels == 4
+    # levels 2 and 3 have no block, so every term adds exactly zero there
+    sweep = icm_level_sweep(pair_system, DielectricSpec(0.0, 0.5),
+                            EwaldParams(alpha=1.0, s=3.0, L_z=2.0, M=3))
+    assert sweep.energies[1] != sweep.energies[0]
+    assert np.all(sweep.energies[2:] == sweep.energies[1])
+    assert np.all(sweep.forces[2:] == sweep.forces[1])
 
 
 def test_real_space_counts_replica_pairs_at_exactly_r_c():
@@ -167,6 +172,15 @@ def test_image_energy_against_spectral_oracle(small_system, gu, gd):
     got = energy_icm(small_system, spec, params, compute_forces=False).energy
     want = spectral_image_energy(small_system, spec, M_large=m, params=params)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_spectral_oracle_checks_the_contract_first():
+    """A source on a reflecting wall raises at once, as in both solvers; the
+    oracle's mode sum would otherwise run to its 20 000-shell limit."""
+    system = ChargeSystem(np.array([[1.0, 1.0, 1.0], [2.0, 3.0, 0.4]]), np.array([1.0, -1.0]),
+                          (4.0, 4.0, 1.0))
+    with pytest.raises(DomainError, match="on-interface"):
+        spectral_image_energy(system, DielectricSpec(0.5, 0.0), M_large=4)
 
 
 def test_level_sweep_prefix_property(small_system):

@@ -272,6 +272,24 @@ def test_cli_rejects_non_finite_parameters(tmp_path, capsys, option, value, solv
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option,value", [("--H", "nan"), ("--Lx", "inf"), ("--Ly", "nan")])
+def test_cli_tune_rejects_non_finite_geometry(capsys, option, value):
+    geometry = {"--H": "1", "--Lx": "10", "--Ly": "10", option: value}
+    args = [tok for pair in geometry.items() for tok in pair]
+    assert cli_main(["tune", "--eps", "1e-6", *args]) == 1
+    assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,lineno", [("cell 10 10 abc\n1 1 0.5 1\n2 2 0.5 -1\n", 1),
+                                         ("cell 10 10 1\n1 1 0.5 1\n2 y 0.5 -1\n", 3)],
+                         ids=["cell", "particle"])
+def test_cli_rejects_non_numeric_field(tmp_path, capsys, text, lineno):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert cli_main(["energy", str(path)]) == 1
+    assert f"validation error: line {lineno}: non-numeric" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("solver", ["icm2d", "ewald3d"])
 @pytest.mark.parametrize("case", CONTRACT_CASES)
 def test_cli_rejects_inputs_outside_contract(tmp_path, capsys, case, solver):

@@ -105,6 +105,12 @@ def test_tolerance_request_validation():
         ToleranceRequest(2.0, GEOM, DielectricSpec(0.0, 0.0))
     with pytest.raises(DomainError):
         ToleranceRequest(1e-8, (10.0, -1.0, 1.0), DielectricSpec(0.0, 0.0))
+    for bad in (math.nan, math.inf):
+        for axis in range(3):
+            geometry = list(GEOM)
+            geometry[axis] = bad
+            with pytest.raises(DomainError):
+                ToleranceRequest(1e-8, tuple(geometry), DielectricSpec(0.0, 0.0))
     with pytest.raises(DomainError):
         ToleranceRequest(1e-8, GEOM, DielectricSpec(0.0, 0.0), rounding="floor")
 
