@@ -7,6 +7,13 @@ explicitly.  Results are produced per image level so that truncation sweeps
 cost one full evaluation: `icm_level_sweep` returns a `core.LevelSweep` and
 `energy_icm` reads level M from it.
 
+The Fourier sum skips, per in-plane mode h, the image blocks whose kernel is
+provably below a floor: both summands of G(h, z) are at most 2 e^{-h|z|}, so
+|G| and |G'/h| are at most 3 e^{-h|z|}, and a level-l image lies at least
+(l-1)H from every target.  Only levels l <= 1 + ln(1e18)/(hH) can add more
+than 3e-18 of the kernel's scale, and since the blocks are ordered by level
+they are a prefix of the block axis.
+
 All routines are pure functions of immutable inputs and safe to call
 concurrently.
 """
@@ -25,6 +32,10 @@ from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
 
 SQRT_PI = math.sqrt(math.pi)
 MAX_HVECTOR_GRID = 1 << 22  # (nx, ny) points `_half_plane_hvectors` may allocate, ~40 B each
+# ln(1/floor) of the Fourier sum's skipped blocks: a skipped kernel value is below 3e-18,
+# under 1/70 of an ulp of the kernel's O(1) scale
+LOG_INV_KERNEL_FLOOR = math.log(1e18)
+MAX_SPECTRAL_SHELLS = 20000  # mode shells `spectral_image_energy` sums before it gives up
 
 
 def g_alpha_terms(h, z, alpha):
@@ -182,7 +193,12 @@ def _real_space_levels(system, table, params, compute_forces):
 
 
 def _fourier_levels(system, table, params, compute_forces):
-    """Per-level k!=0 Fourier energies/forces (planewise kernel sum)."""
+    """Per-level k!=0 Fourier energies/forces (planewise kernel sum).
+
+    Mode h evaluates only the blocks [:, :k_h] at levels <= 1 + ln(1e18)/(hH);
+    the kernel of every later block is below 3e-18 (module docstring).  Each
+    kept entry accumulates its modes in the same order as the full sum.
+    """
     lx, ly = system.lx, system.ly
     alpha = params.alpha
     pos = system.positions
@@ -193,28 +209,30 @@ def _fourier_levels(system, table, params, compute_forces):
 
     hvecs = _half_plane_hvectors(lx, ly, params.k_c)
     acc_e = np.zeros_like(zd)
-    if compute_forces:
-        acc = np.zeros((3,) + zd.shape)
+    acc = np.zeros((3,) + zd.shape) if compute_forces else None
 
     base = 2.0 * math.pi / (2.0 * lx * ly)  # pi/(2 Lx Ly) times half-plane factor 2
     for hx, hy in hvecs:
         h = math.hypot(hx, hy)
+        # blocks at levels above l_h lie >= (l_h - 1)H away: their kernel is below the floor
+        l_h = 1.0 + LOG_INV_KERNEL_FLOOR / (h * system.height)
+        k_h = np.searchsorted(table.level, l_h, side="right")
         a = hx * pos[:, 0] + hy * pos[:, 1]
         ca, sa = np.cos(a), np.sin(a)
         cphase = (ca[:, None] * ca + sa[:, None] * sa)[:, None]  # cos(a_i - a_j), (N, 1, N)
-        tp, tm = g_alpha_terms(h, zd, alpha)
+        tp, tm = g_alpha_terms(h, zd[:, :k_h], alpha)
         g = tp + tm
         pref = base / h
-        acc_e += (pref * cphase) * g
+        acc_e[:, :k_h] += (pref * cphase) * g
         if compute_forces:
             sphase = (sa[:, None] * ca - ca[:, None] * sa)[:, None]
             gm = tp - tm  # dG/dz = h * gm
             s_g = pref * sphase * g
-            acc[0] += -hx * s_g
-            acc[1] += -hy * s_g
-            acc[2] += pref * cphase * (h * gm)
+            acc[0, :, :k_h] += -hx * s_g
+            acc[1, :, :k_h] += -hy * s_g
+            acc[2, :, :k_h] += pref * cphase * (h * gm)
 
-    return _level_sums(table, coeff, acc_e, acc if compute_forces else None)
+    return _level_sums(table, coeff, acc_e, acc)
 
 
 def _j0_levels(system, table, params, compute_forces):
@@ -315,7 +333,9 @@ def spectral_image_energy(system: ChargeSystem, spec: DielectricSpec,
     sum is certified adaptively (three consecutive quiet shells), on top of the
     e^{-2hH} < 1e-18 baseline; truncating on the baseline alone under-resolves
     sources close to a wall.  Raises DomainError for an input outside the
-    solvers' contract (`core.check_solvable`).
+    solvers' contract (`core.check_solvable`), and before the mode sum when it
+    would need more than MAX_SPECTRAL_SHELLS shells: for a source too close to
+    a reflecting wall, or a slab too thin for its cell.
     """
     check_solvable(system, spec)
     lx, ly, H = system.cell
@@ -331,6 +351,14 @@ def spectral_image_energy(system: ChargeSystem, spec: DielectricSpec,
     q = system.charges
     pos = system.positions
     z = pos[:, 2]
+    # A source d from a reflecting wall adds terms of order e^{-2hd}, and shell s has
+    # h >= 2 pi s / max(Lx, Ly): about the shells the stopping rule below needs.
+    d = min(H - z.max() if spec.gamma_u else math.inf, z.min() if spec.gamma_d else math.inf)
+    shells = max(math.log(1.0 / shell_rtol) / d, math.log(1e18) / H) * max(lx, ly) / (4 * math.pi)
+    if shells > MAX_SPECTRAL_SHELLS:
+        raise DomainError(f"mode sum needs about {shells:.3g} shells, more than "
+                          f"{MAX_SPECTRAL_SHELLS}: a source is {d:.3g} from a reflecting "
+                          f"wall, in a slab of height {H:.3g}")
     gp = [image_scales(spec, l) for l in range(0, M_large + 1)]  # gp[l] = (g+, g-)
 
     h_base = math.log(1e18) / (2.0 * H)
@@ -379,6 +407,6 @@ def spectral_image_energy(system: ChargeSystem, spec: DielectricSpec,
         prev_total = total
         if converged_baseline and quiet >= 3:
             break
-        if shell > 20000:
+        if shell > MAX_SPECTRAL_SHELLS:
             raise DomainError("mode sum failed to converge")
     return homo + total

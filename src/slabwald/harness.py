@@ -207,14 +207,10 @@ def force_rel_err(forces: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(dev[keep] / mag[keep]))
 
 
-def _reference(system, config) -> tuple[EwaldParams, EnergyForces]:
-    spec = config.spec
-    m_ref = reference_level(spec, config.geometry)
-    params = EwaldParams(alpha=default_alpha(6.0, config.geometry), s=6.0,
-                         L_z=2.0 * config.geometry[2], M=m_ref)
-    ref = icm_level_sweep(system, spec, params,
-                          compute_forces=(config.quantity == "force")).at(m_ref)
-    return params, ref
+def _reference_params(config) -> EwaldParams:
+    return EwaldParams(alpha=default_alpha(6.0, config.geometry), s=6.0,
+                       L_z=2.0 * config.geometry[2],
+                       M=reference_level(config.spec, config.geometry))
 
 
 def _measure(config, res: EnergyForces, ref: EnergyForces) -> float:
@@ -243,17 +239,22 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     system = gen_system(config.seed, config.composition, config.geometry)
     spec = config.spec
     want_f = config.quantity == "force"
-    ref_params, ref = _reference(system, config)
+    ref_params = _reference_params(config)
+    truncation = config.sweep == "M" and config.mode == "truncation"
+    if not truncation:
+        ref = icm_level_sweep(system, spec, ref_params, compute_forces=want_f).at(ref_params.M)
     flags = ewald3d.CorrectionFlags(config.include_yb, config.include_elc)
     rows: list[SweepRow] = []
 
     if config.sweep == "M":
         grid = [int(v) for v in config.grid]
-        lz = None if config.mode == "truncation" else config.fixed_Lz()
+        lz = None if truncation else config.fixed_Lz()
         t1 = time.perf_counter()
-        if config.mode == "truncation":
+        if truncation:
+            # the reference run on: a level's result does not depend on the levels after it
             params = replace(ref_params, M=max(ref_params.M, *grid))
             sweep = icm_level_sweep(system, spec, params, compute_forces=want_f)
+            ref = sweep.at(ref_params.M)
         else:
             alpha = config.alpha or default_alpha(config.s, config.geometry, lz)
             params = EwaldParams(alpha=alpha, s=config.s, L_z=lz, M=max(grid))

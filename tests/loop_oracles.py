@@ -1,4 +1,5 @@
-"""Loop forms of the in-plane mode list, the padded-box reciprocal sum and ELC.
+"""Loop forms of the in-plane mode list, the padded-box reciprocal sum and ELC,
+and the unpruned ewald2d Fourier sum.
 
 These are the per-mode Python loops that `ewald2d` and `ewald3d` replaced
 with array code (a masked grid, chunked contractions).  They are kept here,
@@ -9,6 +10,10 @@ per-level results exactly as the library routines do.  The in-plane modes,
 per-level structure factors and ELC channels they use are built here too,
 level by level from the scalar image scales and offsets, so the oracles share
 nothing with the array code they check.
+
+`fourier_levels_unpruned` is `ewald2d._fourier_levels` without its per-mode
+block prefix: it evaluates every (mode, image block) pair.  It shares the library's mode list, kernel and per-level reduction on
+purpose, so that a comparison isolates the skipped blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 import numpy as np
 
 from slabwald.core import DomainError, image_scales, image_z_offsets
+from slabwald.ewald2d import _half_plane_hvectors, _level_sums, g_alpha_terms
 from slabwald.ewald3d import elc_h_cutoff
 
 
@@ -189,3 +195,34 @@ def elc_correction_loop(system, spec, params, compute_forces=True):
     if compute_forces:
         f_lv = np.cumsum(f_lv, axis=0)
     return np.cumsum(e_lv), f_lv
+
+
+def fourier_levels_unpruned(system, table, params, compute_forces):
+    """Per-level k != 0 Fourier energies/forces, every image block for every mode."""
+    lx, ly = system.lx, system.ly
+    alpha = params.alpha
+    pos = system.positions
+    q = system.charges
+    coeff = q[:, None, None] * (table.weight[:, None] * q)
+    zd = pos[:, None, None, 2] - table.z
+
+    acc_e = np.zeros_like(zd)
+    acc = np.zeros((3,) + zd.shape) if compute_forces else None
+    base = 2.0 * math.pi / (2.0 * lx * ly)
+    for hx, hy in _half_plane_hvectors(lx, ly, params.k_c):
+        h = math.hypot(hx, hy)
+        a = hx * pos[:, 0] + hy * pos[:, 1]
+        ca, sa = np.cos(a), np.sin(a)
+        cphase = (ca[:, None] * ca + sa[:, None] * sa)[:, None]
+        tp, tm = g_alpha_terms(h, zd, alpha)
+        g = tp + tm
+        pref = base / h
+        acc_e += (pref * cphase) * g
+        if compute_forces:
+            sphase = (sa[:, None] * ca - ca[:, None] * sa)[:, None]
+            gm = tp - tm
+            s_g = pref * sphase * g
+            acc[0] += -hx * s_g
+            acc[1] += -hy * s_g
+            acc[2] += pref * cphase * (h * gm)
+    return _level_sums(table, coeff, acc_e, acc)

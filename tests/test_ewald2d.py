@@ -1,18 +1,24 @@
 """Doubly periodic reference solver: kernels, image sums, and symmetries."""
 
 import math
+import time
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from loop_oracles import half_plane_hvectors_loop
-from slabwald.core import ChargeSystem, DielectricSpec, DomainError, EwaldParams
-from slabwald.ewald2d import (_half_plane_hvectors, _real_space_levels,
+from loop_oracles import fourier_levels_unpruned, half_plane_hvectors_loop
+from slabwald import ewald2d
+from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
+                           check_solvable)
+from slabwald.ewald2d import (_fourier_levels, _half_plane_hvectors, _real_space_levels,
                               build_image_table, energy_homogeneous, energy_icm,
-                              forces_fd_check, g0_alpha, g_alpha, icm_level_sweep,
-                              spectral_image_energy)
+                              forces_fd_check, g0_alpha, g_alpha, g_alpha_terms,
+                              icm_level_sweep, spectral_image_energy)
 
 
 def _g_quadrature(h, z, alpha):
@@ -181,6 +187,77 @@ def test_spectral_oracle_checks_the_contract_first():
                           (4.0, 4.0, 1.0))
     with pytest.raises(DomainError, match="on-interface"):
         spectral_image_energy(system, DielectricSpec(0.5, 0.0), M_large=4)
+
+
+@st.composite
+def near_wall_cases(draw):
+    """A random neutral system with sources near both walls, its walls, M and alpha.
+
+    N = 3..5 charges, one within 1e-6 H of each wall and the rest anywhere
+    inside; H from 0.1 to 5; gamma_u and gamma_d in [-1, 1] (exactly 0 and
+    +-1 among them); M = 0..64 and alpha from 0.5 to 2.
+    """
+    n = draw(st.integers(3, 5))
+    lx, ly = draw(st.floats(2.0, 4.0)), draw(st.floats(2.0, 4.0))
+    h = draw(st.floats(0.1, 5.0))
+    unit = st.floats(0.0, 1.0)
+    gap = st.floats(1e-9, 1e-6)
+    z = [draw(gap) * h, (1.0 - draw(gap)) * h] + [draw(unit) * h for _ in range(n - 2)]
+    pos = np.array([[draw(unit) * lx, draw(unit) * ly, zi] for zi in z])
+    q = np.array([draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
+                  for _ in range(n - 1)])
+    system = ChargeSystem(pos, np.append(q, -q.sum()), (lx, ly, h))
+    gamma = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+    spec = DielectricSpec(draw(gamma), draw(gamma))
+    try:
+        check_solvable(system, spec)
+    except DomainError:  # on a wall, or two charges at one point
+        assume(False)
+    params = EwaldParams(alpha=draw(st.floats(0.5, 2.0)), s=5.0, L_z=2.0 * h,
+                         M=draw(st.integers(0, 64)))
+    return system, spec, params
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=near_wall_cases())
+def test_fourier_skips_only_blocks_below_the_kernel_floor(case):
+    """Each mode skips a block prefix's tail only where the kernel is below 3e-18.
+
+    The sweep with skipped blocks has the unpruned sweep's energies at every
+    level, bit for bit, and its forces within 1e-16 of max|F|.
+    """
+    system, spec, params = case
+    sweep = icm_level_sweep(system, spec, params)
+    with mock.patch.object(ewald2d, "_fourier_levels", fourier_levels_unpruned):
+        full = icm_level_sweep(system, spec, params)
+    np.testing.assert_array_equal(sweep.energies, full.energies)
+    assert np.abs(sweep.forces - full.forces).max() <= 1e-16 * np.abs(full.forces).max()
+
+    kept = []
+
+    def recorded(h, z, alpha):
+        kept.append((h, z.shape[1]))
+        return g_alpha_terms(h, z, alpha)
+
+    table = build_image_table(system, spec, params.M)
+    with mock.patch.object(ewald2d, "g_alpha_terms", recorded):
+        _fourier_levels(system, table, params, True)
+    zd = system.positions[:, None, None, 2] - table.z
+    for h, k_h in kept:
+        tp, tm = g_alpha_terms(h, zd[:, k_h:], params.alpha)
+        assert np.abs(tp + tm).max(initial=0.0) <= 3e-18
+        assert np.abs(tp - tm).max(initial=0.0) <= 3e-18  # G'(h, z) / h
+
+
+def test_spectral_oracle_fails_fast_near_a_wall():
+    """A source 1e-6 below a reflecting wall needs about 1e7 mode shells, past
+    the 20 000-shell limit; the oracle raises before it sums any."""
+    system = ChargeSystem(np.array([[1.0, 1.0, 1.0 - 1e-6], [2.0, 3.0, 0.4]]),
+                          np.array([1.0, -1.0]), (4.0, 4.0, 1.0))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"needs about 1\.03e\+07 shells"):
+        spectral_image_energy(system, DielectricSpec(0.5, 0.0), M_large=4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_level_sweep_prefix_property(small_system):
