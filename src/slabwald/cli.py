@@ -88,15 +88,14 @@ def _build_parser() -> _Parser:
 
 def _tuned_params(args, geometry, spec):
     from .core import EwaldParams
-    from .tuner import (ToleranceRequest, default_alpha_policy, select_Lz, select_M,
-                        select_splitting)
+    from .tuner import ToleranceRequest, select_alpha, select_Lz, select_M, select_splitting
 
     req = ToleranceRequest(args.eps, geometry, spec)
     m = args.M if args.M is not None else select_M(req)
     lz = args.Lz if args.Lz is not None else float(select_Lz(req, m))
     if args.s is not None or args.alpha is not None:
         s = args.s if args.s is not None else 6.0
-        alpha = args.alpha if args.alpha is not None else default_alpha_policy(req, s)
+        alpha = args.alpha if args.alpha is not None else select_alpha(req, s, lz, geometry[2])
     else:
         s, alpha, _, _ = select_splitting(req, lz, geometry[2])
     return EwaldParams(alpha=alpha, s=s, L_z=lz, M=m)

@@ -8,6 +8,7 @@ scale on top.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -108,11 +109,16 @@ def image_scales(spec: DielectricSpec, level: int) -> tuple[float, float]:
 
     The plus chain starts across the upper wall (z = H, gamma_u), the minus
     chain across the lower wall (z = 0, gamma_d); the walls then alternate.
+    A scale below the smallest normal float is flushed to 0: it weighs
+    nothing, and its rounding depends on the order of the factors (at
+    gamma_u = 0.75, gamma_d = 2.5e-162 the level-5 plus scale is 0 as powers
+    but 5e-324 as a chain of single reflections).
     """
     hi = (level + 1) // 2  # ceil(l/2)
     lo = level // 2        # floor(l/2)
-    return (spec.gamma_u ** hi * spec.gamma_d ** lo,
-            spec.gamma_u ** lo * spec.gamma_d ** hi)
+    scales = (spec.gamma_u ** hi * spec.gamma_d ** lo,
+              spec.gamma_u ** lo * spec.gamma_d ** hi)
+    return tuple(g if abs(g) >= sys.float_info.min else 0.0 for g in scales)
 
 
 def image_z_offsets(level: int, height: float) -> tuple[float, float]:
@@ -135,6 +141,30 @@ def image_levels(spec: DielectricSpec, M: int, height: float) -> tuple[np.ndarra
     scale = np.array([(1.0, 0.0)] + [image_scales(spec, l) for l in range(1, M + 1)])
     offset = np.array([image_z_offsets(l, height) for l in range(M + 1)])
     return scale, offset
+
+
+def real_space_reach(r_c: float, cell: tuple[float, float, float]) -> tuple[int, int, int]:
+    """(level, x rings, y rings): how far a pair within r_c can reach.
+
+    A level-l image (l >= 2) lies at least (l-1)H from every source, so no
+    level above floor(r_c/H) + 1 holds a pair within r_c.  With xy separations
+    wrapped into the primary cell, replica m along an axis of length L lies at
+    least |m|L - L/2 away, so no ring beyond floor((r_c + L/2)/L) does.  Each
+    count includes its edge: it steps up at r_c = kH and at r_c = (m + 1/2)L.
+    """
+    lx, ly, h = cell
+    return (math.floor(r_c / h) + 1, math.floor((r_c + lx / 2) / lx),
+            math.floor((r_c + ly / 2) / ly))
+
+
+def real_space_step_edge(r_c: float, cell: tuple[float, float, float]) -> float:
+    """The smallest cutoff above r_c at which `real_space_reach` steps up.
+
+    Every cutoff in [r_c, edge) has the reach of r_c.
+    """
+    level, mx, my = real_space_reach(r_c, cell)
+    lx, ly, h = cell
+    return min(level * h, (mx + 0.5) * lx, (my + 0.5) * ly)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from scipy.special import erf, erfc, erfcx
 
 from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
                    EwaldParams, LevelSweep, check_solvable, image_levels,
-                   image_scales)
+                   image_scales, real_space_reach)
 
 SQRT_PI = math.sqrt(math.pi)
 MAX_HVECTOR_GRID = 1 << 22  # (nx, ny) points `_half_plane_hvectors` may allocate, ~40 B each
@@ -158,8 +158,7 @@ def _real_space_levels(system, table, params, compute_forces):
     # wrap xy into the primary cell: replica m is then >= |m| L - L/2 away
     dx0 = dx0 - lx * np.round(dx0 / lx)
     dy0 = dy0 - ly * np.round(dy0 / ly)
-    mx_max = int(math.floor((r_c + lx / 2) / lx))
-    my_max = int(math.floor((r_c + ly / 2) / ly))
+    _, mx_max, my_max = real_space_reach(r_c, system.cell)
     diag = np.arange(system.n)  # the self pairs: block 0, i == j
 
     pair_e = np.zeros_like(dz)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
-                   EwaldParams, LevelSweep, check_solvable, image_levels)
+                   EwaldParams, LevelSweep, check_solvable, image_levels,
+                   real_space_reach)
 from .ewald2d import (_half_plane_hvectors, _real_space_levels, build_image_table,
                       self_energy)
 
@@ -278,8 +279,8 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
     check_solvable(system, spec)
     if flags.include_elc:
         e_elc, f_elc = elc_correction(system, spec, params, compute_forces=compute_forces)
-    # a level-l image (l >= 2) is >= (l-1)H from every source: rows past m_real are 0
-    m_real = min(params.M, math.floor(params.r_c / system.height) + 1)
+    # no pair past level m_real lies within r_c: its rows are 0
+    m_real = min(params.M, real_space_reach(params.r_c, system.cell)[0])
     table = build_image_table(system, spec, m_real)
     e_real, f_real = _real_space_levels(system, table, params, compute_forces)
     e_four, f_four = _fourier3d_core(system, spec, params, compute_forces)

@@ -190,8 +190,10 @@ def reference_level(spec: DielectricSpec, geometry, tol: float = 1e-15) -> int:
 
 
 def default_alpha(s: float, geometry, L_z: float | None = None) -> float:
-    """Cost-balanced alpha, raised if needed to keep the k_z-discretization
-    remainder below the reference noise floor."""
+    """alpha of the ewald2d references and sweeps: the fixed rule
+    r_c = min(L_x, L_y)/1.2, not a cost balance (`tuner.default_alpha_policy`
+    picks the tuned solves' alpha).  Given L_z, alpha is raised if needed so
+    the k_z-discretization remainder stays below TRAP_TOL."""
     lx, ly, h = geometry
     alpha = 1.2 * s / min(lx, ly)
     if L_z is not None:

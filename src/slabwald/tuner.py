@@ -3,6 +3,15 @@
 Given a tolerance, the steps pick (in order) the image-series truncation level,
 the padded box height, and the splitting parameters (s, alpha, r_c, k_c), each
 by inverting the corresponding closed-form error estimate.
+
+At fixed s the split is a choice of r_c = s/alpha, and it trades real-space
+against reciprocal work.  The dense real-space sum depends on r_c only through
+`core.real_space_reach` (its image-level cap and replica rings): its arrays,
+and the erfc evaluated on every entry, are the same for every r_c up to that
+reach's next step edge.  Inside the step a larger r_c only lowers
+k_c = 2 s^2 / r_c, and the reciprocal mode count with it (as k_c^3), so the
+default policy takes the top of the step that min(L_x, L_y)/4 falls in.
+Choosing a different step would need N and calibrated per-term costs.
 """
 
 from __future__ import annotations
@@ -11,8 +20,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import DielectricSpec, DomainError, EwaldParams
+from .core import DielectricSpec, DomainError, EwaldParams, real_space_step_edge
 from .errors import ErrorBudget, splitting_error, total_budget
+
+# relative gap kept below a real-space step edge; it dwarfs the rounding of s / alpha
+STEP_EDGE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,9 +105,32 @@ def select_Lz(req: ToleranceRequest, M: int) -> int:
 
 
 def default_alpha_policy(req: ToleranceRequest, s: float) -> float:
-    """alpha = s / r_c_target with r_c_target = min(L_x, L_y)/4."""
+    """alpha = s / r_c, with r_c at the top of the real-space step of min(L_x, L_y)/4.
+
+    r_0 = min(L_x, L_y)/4 picks the step: every cutoff from r_0 up to
+    `core.real_space_step_edge` builds the same real-space table and replica
+    rings, so the largest of them adds no real-space work and gives the fewest
+    reciprocal modes.  r_c stays strictly below the edge (by STEP_EDGE_MARGIN),
+    because the level cap and the ring count step up at it; it is never below
+    r_0.  For a 10 x 10 cell with H = 1 that is r_c = 3 (1 - 1e-9), the level
+    edge, where r_0 = 2.5.
+    """
     L_x, L_y, _ = req.geometry
-    return s / (min(L_x, L_y) / 4.0)
+    r_0 = min(L_x, L_y) / 4.0
+    edge = real_space_step_edge(r_0, req.geometry)
+    return s / max(r_0, edge * (1.0 - STEP_EDGE_MARGIN))
+
+
+def select_alpha(req: ToleranceRequest, s: float, L_z: float, H: float,
+                 alpha_policy: Callable[[ToleranceRequest, float], float] | None = None
+                 ) -> float:
+    """alpha from the cost policy, raised if needed so the k_z-discretization
+    remainder stays below epsilon: alpha >= sqrt(log(1/eps)) / (L_z - H).
+    """
+    if L_z <= H:
+        raise DomainError("L_z must exceed H (no padding: splitting infeasible)")
+    alpha = (alpha_policy or default_alpha_policy)(req, s)
+    return max(alpha, math.sqrt(math.log(1.0 / req.epsilon)) / (L_z - H))
 
 
 def select_splitting(req: ToleranceRequest, L_z: float, H: float,
@@ -104,12 +139,8 @@ def select_splitting(req: ToleranceRequest, L_z: float, H: float,
     """Step 3: splitting accuracy s and the (alpha, r_c, k_c) triple.
 
     s is the smallest integer with e^{-s^2}/s^2 <= epsilon (or the continuous
-    bisection root when requested); alpha comes from the pluggable cost policy,
-    then is raised if needed so the k_z-discretization remainder stays below
-    epsilon: alpha >= sqrt(log(1/eps)) / (L_z - H).
+    bisection root when requested); alpha is `select_alpha`'s.
     """
-    if L_z <= H:
-        raise DomainError("L_z must exceed H (no padding: splitting infeasible)")
     eps = req.epsilon
     if continuous_s:
         lo, hi = 1.0, 50.0
@@ -124,10 +155,7 @@ def select_splitting(req: ToleranceRequest, L_z: float, H: float,
         s = 1
         while splitting_error(s) > eps:
             s += 1
-    policy = alpha_policy or default_alpha_policy
-    alpha = policy(req, s)
-    alpha_min = math.sqrt(math.log(1.0 / eps)) / (L_z - H)
-    alpha = max(alpha, alpha_min)
+    alpha = select_alpha(req, s, L_z, H, alpha_policy)
     return s, alpha, s / alpha, 2.0 * s * alpha
 
 

@@ -1,10 +1,11 @@
 """Domain types, the reflected image series, and system file I/O."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slabwald.core import (MIN_SEPARATION, ChargeSystem, DielectricSpec, DomainError,
@@ -91,7 +92,9 @@ def _reflection_chain(z, h, gamma_u, gamma_d, m):
     Reflecting across the upper wall maps z -> 2H - z and multiplies the scale
     by gamma_u; across the lower wall, z -> -z with factor gamma_d.
     The plus chain at level l is the upper reflection of the minus chain at
-    l - 1, and vice versa.
+    l - 1, and vice versa.  A scale below the smallest normal float is flushed
+    to 0, as `core.image_scales` does: the chain rounds such a scale
+    differently.
     """
     plus = [(z, 1.0)]
     minus = [(z, 1.0)]
@@ -100,10 +103,15 @@ def _reflection_chain(z, h, gamma_u, gamma_d, m):
         z_p, s_p = plus[-1]
         plus.append((2 * h - z_m, gamma_u * s_m))
         minus.append((-z_p, gamma_d * s_p))
-    return plus[1:], minus[1:]
+
+    def flush(chain):
+        return [(zz, g if abs(g) >= sys.float_info.min else 0.0) for zz, g in chain[1:]]
+
+    return flush(plus), flush(minus)
 
 
 @settings(max_examples=50, deadline=None)
+@example(z=0.25, gu=0.75, gd=2.5e-162, m=5)  # level 5 plus: 0 as powers, 5e-324 as a chain
 @given(z=st.floats(0.05, 0.95),
        gu=st.floats(-1.0, 1.0),
        gd=st.floats(-1.0, 1.0),

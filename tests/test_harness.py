@@ -272,6 +272,29 @@ def test_cli_rejects_non_finite_parameters(tmp_path, capsys, option, value, solv
     assert "validation error" in capsys.readouterr().err
 
 
+def test_cli_s_option_keeps_the_trapezoid_floor(tmp_path, capsys):
+    """--s without --alpha takes the tuner's alpha, raised to the trapezoid floor
+    sqrt(ln(1/eps)) / (L_z - H); an explicit --alpha is used as given.
+
+    alpha is read back from the self term, -alpha/sqrt(pi) sum q^2.
+    """
+    path = tmp_path / "sys.txt"
+    write_system(path, gen_system(3))
+    sum_q2 = float(np.sum(read_system(path).charges ** 2))
+
+    def alpha_of(*extra):
+        assert cli_main(["energy", str(path), "--eps", "1e-8", "--s", "4", "--Lz", "2",
+                         *extra]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        return -float(next(r[1] for r in rows if r[0] == "self")) * math.sqrt(math.pi) / sum_q2
+
+    alpha = alpha_of()
+    assert alpha == pytest.approx(math.sqrt(math.log(1e8)), rel=1e-12)  # L_z - H = 1
+    # the k_z remainder e^{-(alpha (L_z - H))^2} is eps; the policy's alpha alone left 7.7e-2
+    assert math.exp(-alpha ** 2) == pytest.approx(1e-8, rel=1e-9)
+    assert alpha_of("--alpha", "1.6") == pytest.approx(1.6, rel=1e-12)
+
+
 @pytest.mark.parametrize("option,value", [("--H", "nan"), ("--Lx", "inf"), ("--Ly", "nan")])
 def test_cli_tune_rejects_non_finite_geometry(capsys, option, value):
     geometry = {"--H": "1", "--Lx": "10", "--Ly": "10", option: value}

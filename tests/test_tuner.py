@@ -1,13 +1,22 @@
 """Three-step parameter selection: reference table, monotonicity, edge cases."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slabwald.core import DielectricSpec, DomainError
+from slabwald import ewald3d
+from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
+                           real_space_reach, real_space_step_edge)
 from slabwald.errors import splitting_error
-from slabwald.tuner import (ToleranceRequest, contracting_padding, select_all,
-                            select_Lz, select_M, select_splitting)
+from slabwald.ewald2d import build_image_table, energy_icm
+from slabwald.harness import default_alpha, reference_level
+from slabwald.tuner import (ToleranceRequest, contracting_padding, default_alpha_policy,
+                            select_all, select_alpha, select_Lz, select_M,
+                            select_splitting)
 
 GEOM = (10.0, 10.0, 1.0)
 
@@ -134,3 +143,94 @@ def test_select_all_monotone_in_epsilon():
         if prev is not None:
             assert all(b >= a for a, b in zip(prev, trio))
         prev = trio
+
+
+@st.composite
+def policy_cases(draw):
+    """A cell with L_x != L_y, H in [0.1, 6], s in 1..8, and a thin or tall padding."""
+    lx = draw(st.floats(4.0, 30.0))
+    ly = lx * draw(st.sampled_from([0.4, 0.75, 1.3, 2.5]))
+    h = draw(st.floats(0.1, 6.0))
+    eps = 10.0 ** -draw(st.floats(4.0, 12.0))
+    thin = draw(st.booleans())
+    pad = draw(st.floats(0.01, 0.3)) if thin else draw(st.floats(20.0, 100.0))
+    req = ToleranceRequest(eps, (lx, ly, h), DielectricSpec(0.6, -0.4))
+    return req, draw(st.integers(1, 8)), h + pad, thin
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=policy_cases())
+def test_default_alpha_policy_tops_the_real_space_step(case):
+    """The tuned r_c has the real-space reach of min(L)/4, and only fewer k-modes.
+
+    Checked through `core.real_space_reach` and through the level at which
+    `ewald3d._terms` builds its real-space table.  A cutoff 1e-8 larger steps
+    up: r_c is at the top of the step, not anywhere inside it.  The trapezoid
+    floor still wins over the policy when the padding is thin.
+    """
+    req, s, lz, thin = case
+    lx, ly, h = req.geometry
+    r_0 = min(lx, ly) / 4.0
+    reach = real_space_reach(r_0, req.geometry)
+    alpha = default_alpha_policy(req, s)
+    params = EwaldParams(alpha=alpha, s=s, L_z=lz, M=reach[0] + 1)
+    old = EwaldParams(alpha=s / r_0, s=s, L_z=lz, M=reach[0] + 1)
+    assert real_space_reach(params.r_c, req.geometry) == reach
+    assert real_space_reach(params.r_c * (1 + 1e-8), req.geometry) != reach
+    assert params.k_c <= old.k_c
+
+    system = ChargeSystem(np.array([[0.3 * lx, 0.4 * ly, 0.3 * h],
+                                    [0.7 * lx, 0.2 * ly, 0.6 * h]]),
+                          np.array([1.0, -1.0]), req.geometry)
+    built = []
+
+    def table(system_, spec_, m):
+        built.append(m)
+        return build_image_table(system_, spec_, m)
+
+    def no_fourier(system_, spec_, params_, compute_forces):
+        return np.zeros(params_.M + 1), np.zeros((params_.M + 1, system_.n, 3))
+
+    with mock.patch.object(ewald3d, "build_image_table", table), \
+            mock.patch.object(ewald3d, "_fourier3d_core", no_fourier):
+        for p in (params, old):
+            ewald3d.solve(system, req.spec, p, ewald3d.CorrectionFlags(False, False))
+    assert built == [reach[0], reach[0]]
+
+    floor = math.sqrt(math.log(1.0 / req.epsilon)) / (lz - h)
+    got = select_alpha(req, s, lz, h)
+    assert got == max(alpha, floor)
+    if thin:
+        assert got == floor > alpha
+
+
+def test_real_space_step_edge_is_the_first_cutoff_that_steps_up():
+    geometry = (10.0, 12.0, 1.0)
+    assert real_space_reach(2.5, geometry) == (3, 0, 0)
+    assert real_space_step_edge(2.5, geometry) == 3.0
+    assert real_space_reach(np.nextafter(3.0, 0.0), geometry) == (3, 0, 0)
+    assert real_space_reach(3.0, geometry) == (4, 0, 0)
+    # a tall slab: the replica ring of the shorter side steps up first
+    geometry = (10.0, 12.0, 6.0)
+    assert real_space_step_edge(2.5, geometry) == 5.0
+    assert real_space_reach(5.0, geometry) == (1, 1, 0)
+    req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
+    assert default_alpha_policy(req, 4) == 4 / (3.0 * (1 - 1e-9))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10])
+def test_select_all_meets_epsilon_between_metal_walls(small_system, eps):
+    """gamma = -1 gives the tallest padding, where the policy moves alpha most.
+
+    select_all's solve matches the converged ewald2d reference within 10 eps,
+    in energy and in forces (max |dF_i| over max |F_ref,i|).
+    """
+    spec = DielectricSpec(-1.0, -1.0)
+    tuned = select_all(ToleranceRequest(eps, GEOM, spec)).params
+    ref = energy_icm(small_system, spec,
+                     EwaldParams(alpha=default_alpha(6.0, GEOM), s=6.0, L_z=2.0,
+                                 M=reference_level(spec, GEOM)))
+    res = ewald3d.solve(small_system, spec, tuned)
+    assert abs(res.energy - ref.energy) <= 10 * eps * abs(ref.energy)
+    df = np.linalg.norm(res.forces - ref.forces, axis=1).max()
+    assert df <= 10 * eps * np.linalg.norm(ref.forces, axis=1).max()
