@@ -95,9 +95,10 @@ def _tuned_params(args, geometry, spec):
     lz = args.Lz if args.Lz is not None else float(select_Lz(req, m))
     if args.s is not None or args.alpha is not None:
         s = args.s if args.s is not None else 6.0
-        alpha = args.alpha if args.alpha is not None else select_alpha(req, s, lz, geometry[2])
+        alpha = (args.alpha if args.alpha is not None
+                 else select_alpha(req, s, lz, geometry[2], m))
     else:
-        s, alpha, _, _ = select_splitting(req, lz, geometry[2])
+        s, alpha, _, _ = select_splitting(req, lz, geometry[2], m)
     return EwaldParams(alpha=alpha, s=s, L_z=lz, M=m)
 
 
@@ -142,6 +143,7 @@ def _cmd_forces(args) -> int:
 
 def _cmd_tune(args) -> int:
     from .core import DielectricSpec
+    from .errors import BUDGET_TERMS
     from .tuner import ToleranceRequest, select_all
 
     spec = DielectricSpec(args.gamma_u, args.gamma_d)
@@ -156,8 +158,7 @@ def _cmd_tune(args) -> int:
     print("r_c    %.6g" % p.r_c)
     print("k_c    %.6g" % p.k_c)
     print("budget regime=%s g_u=%.6g g_d=%.6g" % (b.regime, b.g_u, b.g_d))
-    for name in ("splitting", "image_truncation", "elc_base", "elc_image",
-                 "trapezoidal"):
+    for name in BUDGET_TERMS:
         marker = " (exceeds eps)" if name in result.exceeded else ""
         print("  %-17s %.3e%s" % (name, getattr(b, name), marker))
     return 0

@@ -143,6 +143,22 @@ def image_levels(spec: DielectricSpec, M: int, height: float) -> tuple[np.ndarra
     return scale, offset
 
 
+def elc_offsets(M: int, height: float, L_z: float) -> np.ndarray:
+    """Offsets a[l, image, side] of the inter-replica (ELC) coupling, shape (M+1, 2, 2).
+
+    The coupling of an `image_levels` entry with the particles' wall side p
+    (p = 0 the upper wall, 1 the lower) falls as e^{-h a} per in-plane mode h,
+    with a = L_z + (l-1)H for p = 0 and L_z - (l+1)H for p = 1 on the plus
+    image, swapped on the minus image.  The smallest, L_z - (M+1)H, is the gap
+    between the image stack and its nearest z-replica.
+    """
+    l = np.arange(M + 1)
+    a = np.empty((M + 1, 2, 2))
+    a[:, 0, 0] = a[:, 1, 1] = L_z + (l - 1) * height
+    a[:, 0, 1] = a[:, 1, 0] = L_z - (l + 1) * height
+    return a
+
+
 def real_space_reach(r_c: float, cell: tuple[float, float, float]) -> tuple[int, int, int]:
     """(level, x rings, y rings): how far a pair within r_c can reach.
 
@@ -232,6 +248,14 @@ class EwaldParams:
     @property
     def k_c(self) -> float:
         return 2.0 * self.s * self.alpha
+
+
+@dataclass(frozen=True)
+class CorrectionFlags:
+    """Which corrections of the padded-box sum run: YB (k = 0 mode) and ELC."""
+
+    include_yb: bool = True
+    include_elc: bool = True
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,31 @@ to empirical fitting in the sweep harness.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DielectricSpec, DomainError, EwaldParams, image_levels
+from .core import (CorrectionFlags, DielectricSpec, DomainError, EwaldParams,
+                   elc_offsets, image_levels)
 
 REGIME_TOL = 1e-12
+# the ELC cutoff is at least this times the first in-plane shell, so rounding keeps it
+ELC_FIRST_SHELL_MARGIN = 1.001
+# magnitudes an ErrorBudget sums, in report order
+BUDGET_TERMS = ("splitting", "image_truncation", "elc_base", "elc_image",
+                "elc_truncation", "trapezoidal")
 
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """The five estimated error magnitudes plus the amplification regime."""
+    """The estimated error magnitudes (BUDGET_TERMS) plus the amplification regime.
+
+    With ELC off, elc_base and elc_image estimate the layer coupling the
+    padding leaves and elc_truncation is 0; with ELC on, the coupling is
+    removed, elc_base and elc_image are 0 and elc_truncation estimates the
+    ELC mode sum's cut.
+    """
 
     splitting: float
     image_truncation: float
@@ -28,10 +41,10 @@ class ErrorBudget:
     regime: str  # contracting | marginal | amplifying
     g_u: float
     g_d: float
+    elc_truncation: float = 0.0
 
     def __post_init__(self):
-        for name in ("splitting", "image_truncation", "elc_base", "elc_image",
-                     "trapezoidal"):
+        for name in BUDGET_TERMS:
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be nonnegative")
         if self.regime not in ("contracting", "marginal", "amplifying"):
@@ -39,8 +52,7 @@ class ErrorBudget:
 
     @property
     def total(self) -> float:
-        return (self.splitting + self.image_truncation + self.elc_base
-                + self.elc_image + self.trapezoidal)
+        return sum(getattr(self, name) for name in BUDGET_TERMS)
 
 
 def half_levels(M: int) -> int:
@@ -131,29 +143,141 @@ def splitting_error(s: float) -> float:
     return math.exp(-s * s) / (s * s)
 
 
+def elc_gap(M: int, H: float, L_z: float) -> float:
+    """Gap a_min = L_z - (M+1)H between the image stack and its nearest z-replica.
+
+    The inter-replica (ELC) mode series converges only while the stack fits
+    inside the padding: raises DomainError unless a_min > 0.
+    """
+    a_min = L_z - (M + 1) * H
+    if a_min <= 0:
+        raise DomainError(f"L_z = {L_z:g} <= (M+1)H = {(M + 1) * H:g}: the "
+                          "inter-replica correction diverges; raise L_z or lower M")
+    return a_min
+
+
+def _elc_terms(scale: np.ndarray, geometry: tuple[float, float, float], L_z: float):
+    """Weights, offsets a and first shell h_1 of the ELC truncation estimates.
+
+    One entry per existing image (nonzero `scale`) and wall side, with a from
+    `core.elc_offsets` and weight |gamma|/2 (1 + 1/(h_1 a)), so that the
+    energy estimate at h is sum weight e^{-(h - h_1) a}.
+    h_1 = 2 pi / max(L_x, L_y).
+    """
+    L_x, L_y, H = geometry
+    M = scale.shape[0] - 1
+    elc_gap(M, H, L_z)
+    h_1 = 2.0 * math.pi / max(L_x, L_y)
+    a = elc_offsets(M, H, L_z)
+    w = np.broadcast_to(0.5 * np.abs(scale)[:, :, None], a.shape)
+    keep = w > 0
+    a = a[keep]
+    return w[keep] * (1.0 + 1.0 / (h_1 * a)), a, h_1
+
+
+def elc_truncation_energy(h_max: float, scale: np.ndarray,
+                          geometry: tuple[float, float, float], L_z: float) -> float:
+    """Relative energy error of the ELC mode sum cut at |h| <= h_max.
+
+    sum over the images and wall sides of
+    |gamma|/2 (1 + 1/(h_1 a)) e^{-(h_max - h_1) a}, with scale the (M+1, 2)
+    array of `core.image_levels`, a the image's offset (`core.elc_offsets`)
+    and h_1 = 2 pi / max(L_x, L_y) the first in-plane shell.  A shell of modes
+    at |h| adds about e^{-h a} per image (the mode term's 1/h cancels the
+    shell's growth), so the shells beyond h_max, spaced h_1, add about
+    (1 + 1/(h_1 a)) e^{-h_max a} (integral test): counted relative to the first shell's
+    e^{-h_1 a}, where the sum starts.  Raises DomainError unless
+    L_z > (M+1)H (`elc_gap`).
+    """
+    w, a, h_1 = _elc_terms(scale, geometry, L_z)
+    return float(w @ np.exp(-(h_max - h_1) * a))
+
+
+def elc_truncation_force(h_max: float, scale: np.ndarray,
+                         geometry: tuple[float, float, float], L_z: float) -> float:
+    """Relative force error of the ELC mode sum cut at |h| <= h_max.
+
+    `elc_truncation_energy` with the force's extra factor h per mode: the
+    shells beyond h_max add about (h_max + 1/a)(1 + 1/(h_1 a)) e^{-h_max a},
+    counted relative to the first shell's h_1 e^{-h_1 a}.  So each term is
+    the energy's times (h_max + 1/a)/h_1, which is above 1 for h_max >= h_1;
+    it falls as h_max grows.
+    """
+    w, a, h_1 = _elc_terms(scale, geometry, L_z)
+    return float((w * (h_max + 1.0 / a) / h_1) @ np.exp(-(h_max - h_1) * a))
+
+
+def elc_cutoff(tol: float, scale: np.ndarray, geometry: tuple[float, float, float],
+               L_z: float) -> float:
+    """In-plane cutoff of the ELC mode sum certified at relative accuracy tol.
+
+    The smallest h_max whose `elc_truncation_force`, and so also
+    `elc_truncation_energy`, is <= tol (to rounding), and never below the
+    first shell (times ELC_FIRST_SHELL_MARGIN).  Found by Newton's method on
+    the log of the estimate, from h_1 + ln(sum of its weights / tol) / a_min,
+    never stepping below h_1.  Raises DomainError unless L_z > (M+1)H (`elc_gap`).
+    """
+    w, a, h_1 = _elc_terms(scale, geometry, L_z)
+    b = 1.0 / a
+    log_c = np.log(w / h_1) + h_1 * a  # the estimate is sum c (h + b) e^{-h a}
+    log_tol = math.log(max(tol, sys.float_info.min))
+    h = h_1 + max(math.log(w.sum()) - log_tol, 0.0) / a.min()
+    for _ in range(100):
+        x = log_c + np.log(h + b) - h * a
+        top = x.max()
+        t = np.exp(x - top)  # the terms, over e^top
+        sum_t = t.sum()
+        # Newton on ln(estimate) - ln(tol); a term's derivative is -t a h / (h + b)
+        slope = h * float(t @ (a / (h + b)))
+        h, prev = max(h + (top + math.log(sum_t) - log_tol) * sum_t / slope, h_1), h
+        if abs(h - prev) <= 1e-12 * h:
+            break
+    return max(h, ELC_FIRST_SHELL_MARGIN * h_1)
+
+
 def trapezoid_remainder_estimate(params: EwaldParams, H: float) -> float:
-    """Magnitude of the continuum-vs-discrete k_z remainder, e^{-a^2 (L_z - H)^2}."""
-    return math.exp(-((params.alpha * (params.L_z - H)) ** 2))
+    """Magnitude of the continuum-vs-discrete k_z remainder, e^{-alpha^2 a_min^2}.
+
+    a_min = L_z - (M+1)H is the gap between the image stack and its nearest
+    z-replica, which the real-space sum leaves out; 1 when there is no gap.
+    """
+    a_min = max(params.L_z - (params.M + 1) * H, 0.0)
+    return math.exp(-((params.alpha * a_min) ** 2))
 
 
 def total_budget(params: EwaldParams, spec: DielectricSpec,
-                 geometry: tuple[float, float, float]) -> ErrorBudget:
-    """Assemble the full five-term error budget for given parameters."""
+                 geometry: tuple[float, float, float],
+                 flags: CorrectionFlags) -> ErrorBudget:
+    """The error budget of the padded-box solve that runs with these flags.
+
+    With ELC on, the coupling terms elc_base and elc_image are 0 and
+    elc_truncation is `elc_truncation_energy` at the solve's cutoff,
+    `elc_cutoff` at the split's accuracy `splitting_error(params.s)`; then
+    it raises DomainError unless L_z > (M+1)H.  With ELC off, elc_base and
+    elc_image split `elc_energy_estimate` into its level-0 term and the rest.
+    """
     L_x, L_y, H = geometry
     mx = max(L_x, L_y)
     g_u = spec.gamma_u * math.exp(2.0 * math.pi * H / mx)
     g_d = spec.gamma_d * math.exp(2.0 * math.pi * H / mx)
-    base = math.exp(-2.0 * math.pi * (params.L_z - H) / mx)
-    elc_total = elc_energy_estimate(params.M, spec.gamma_u, spec.gamma_d, H,
-                                    L_x, L_y, params.L_z)
+    base = image = truncation = 0.0
+    if flags.include_elc:
+        scale, _ = image_levels(spec, params.M, H)
+        h_max = elc_cutoff(splitting_error(params.s), scale, geometry, params.L_z)
+        truncation = elc_truncation_energy(h_max, scale, geometry, params.L_z)
+    else:
+        base = math.exp(-2.0 * math.pi * (params.L_z - H) / mx)
+        image = max(elc_energy_estimate(params.M, spec.gamma_u, spec.gamma_d, H,
+                                        L_x, L_y, params.L_z) - base, 0.0)
     return ErrorBudget(
         splitting=splitting_error(params.s),
         image_truncation=image_truncation_energy(
             params.M, spec.gamma_u, spec.gamma_d, H, L_x, L_y),
         elc_base=base,
-        elc_image=max(elc_total - base, 0.0),
+        elc_image=image,
         trapezoidal=trapezoid_remainder_estimate(params, H),
         regime=classify_regime(g_u, g_d),
         g_u=g_u,
         g_d=g_d,
+        elc_truncation=truncation,
     )

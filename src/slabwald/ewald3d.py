@@ -19,26 +19,22 @@ The reciprocal sum orders its in-plane blocks by |h| and trims each chunk's k_z.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
-                   EwaldParams, LevelSweep, check_solvable, image_levels,
-                   real_space_reach)
+from .core import (ChargeSystem, CorrectionFlags, DielectricSpec, DomainError,
+                   EnergyForces, EwaldParams, LevelSweep, check_solvable, elc_offsets,
+                   image_levels, real_space_reach)
+from .errors import elc_cutoff, elc_gap, splitting_error
 from .ewald2d import (_half_plane_hvectors, _real_space_levels, build_image_table,
                       self_energy)
 
+# the fixed term floor of `elc_h_cutoff`; the solve cuts ELC at `errors.elc_cutoff`
 ELC_TERM_FLOOR = 1e-18
 # complex elements per chunk of modes: bounds the temporaries of the contractions
 CHUNK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class CorrectionFlags:
-    include_yb: bool = True
-    include_elc: bool = True
 
 
 def _level_structure_factors(spec: DielectricSpec, M: int, kz: np.ndarray, H: float):
@@ -184,56 +180,69 @@ def yb_correction(system: ChargeSystem, spec: DielectricSpec, M: int, L_z: float
 
 
 def elc_h_cutoff(spec: DielectricSpec, M: int, H: float, L_z: float):
-    """Adaptive in-plane cutoff: largest term magnitude below the 1e-18 floor.
+    """The fixed-floor cutoff ln(1/ELC_TERM_FLOOR) / (L_z - (M+1)H) and no warnings.
 
-    The mode series converges only while the image stack fits inside the
-    padding, L_z > (M+1)H; every image offset a is then at least
-    L_z - (M+1)H > 0.  Raises DomainError otherwise.  Returns (h_max, warnings);
-    warnings is always empty and is kept for callers that unpack two values.
+    Where the slowest image factor e^{-h a} of the ELC mode sum falls to
+    1e-18, whatever accuracy the split has.  `elc_correction` cuts at
+    `errors.elc_cutoff` instead, so this overstates its modes; it stays for
+    callers that count modes at the floor and unpack (h_max, warnings),
+    warnings being always empty.  Raises DomainError unless L_z > (M+1)H
+    (`errors.elc_gap`).
     """
-    a_min = L_z - (M + 1) * H
-    if a_min <= 0:
-        raise DomainError(f"L_z = {L_z:g} <= (M+1)H = {(M + 1) * H:g}: the "
-                          "inter-replica correction diverges; raise L_z or lower M")
-    return math.log(1.0 / ELC_TERM_FLOOR) / a_min, []
+    return math.log(1.0 / ELC_TERM_FLOOR) / elc_gap(M, H, L_z), []
 
 
 def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
                    compute_forces: bool = True):
     """Inter-replica coupling along z of the padded-box sum, O(N) per mode.
 
+    The in-plane modes are summed up to `errors.elc_cutoff` at the split's
+    accuracy splitting_error(params.s): the relative truncation of energies
+    and forces is estimated below it.  Returns (energies, forces) over
+    cumulative levels 0..M; forces is None without compute_forces.  Raises
+    DomainError unless L_z > (M+1)H (`errors.elc_gap`).
+    """
+    h_max = _elc_cutoff_at(spec, params.M, system.cell, params.L_z, params.s)
+    return _elc_modes(system, image_levels(spec, params.M, system.height)[0], params.L_z,
+                      h_max, compute_forces)
+
+
+@functools.lru_cache(maxsize=64)
+def _elc_cutoff_at(spec: DielectricSpec, M: int, cell: tuple[float, float, float],
+                   L_z: float, s: float) -> float:
+    """`errors.elc_cutoff` at splitting_error(s), kept for repeated calls.
+
+    A run of solves at fixed parameters (trial moves, a trajectory) needs one
+    cutoff; its Newton iteration would cost about a tenth of a small solve.
+    """
+    return elc_cutoff(splitting_error(s), image_levels(spec, M, cell[2])[0], cell, L_z)
+
+
+def _elc_modes(system: ChargeSystem, scale: np.ndarray, L_z: float, h_max: float,
+               compute_forces: bool):
+    """The ELC mode sum over 0 < |h| <= h_max, for the `image_levels` scale array.
+
     Per in-plane mode h the coupling is a sum of decaying exponentials with
     per-particle factors u_i = e^{-h(H - z_i)} (side p = 0) and v_i = e^{-h z_i}
     (side 1), both bounded by 1, with side sums S_u, S_v.  Every image of scale
     gamma in `core.image_levels` adds gamma/2 e^{-h a} to a coefficient C[l, p]
-    per side, with offsets a = L_z + (l-1)H and L_z - (l+1)H for p = 0, 1
-    (swapped for the minus image); an image that does not exist has scale 0 and
-    adds exactly 0.  C[l, p] couples side p with side q = 1 - p on even levels
-    and q = p on odd ones, and the energy is the sum of C[l, p] S_p conj(S_q).
-    C[l, p] = C[l, q] (on even levels gamma_+ = gamma_- and the offsets swap),
-    so the two conjugate halves of each force are equal and only one is
-    contracted with the per-particle factors.  The exponentially growing
-    denominator 1 - e^{h L_z} is folded in analytically, so every retained
-    factor decays.
-
-    Returns (energies, forces) over cumulative levels 0..M; forces is None
-    without compute_forces.  Raises DomainError unless L_z > (M+1)H
-    (`elc_h_cutoff`).
+    per side, with the offsets a of `core.elc_offsets`; an image that does not
+    exist has scale 0 and adds exactly 0.  C[l, p] couples side p with side
+    q = 1 - p on even levels and q = p on odd ones, and the energy is the sum
+    of C[l, p] S_p conj(S_q).  C[l, p] = C[l, q] (on even levels
+    gamma_+ = gamma_- and the offsets swap), so the two conjugate halves of
+    each force are equal and only one is contracted with the per-particle
+    factors.  The exponentially growing denominator 1 - e^{h L_z} is folded in
+    analytically, so every retained factor decays.
     """
     lx, ly, H = system.cell
-    L_z = params.L_z
-    M = params.M
     pos = system.positions
     q = system.charges
     n = system.n
-    h_max, _ = elc_h_cutoff(spec, M, H, L_z)
-    h_max = max(h_max, 2 * math.pi / max(lx, ly) * 1.001)  # at least one shell
 
-    levels = M + 1
-    scale, _ = image_levels(spec, M, H)
+    levels = scale.shape[0]
     l = np.arange(levels)[:, None]
-    a_hi, a_lo = L_z + (l - 1) * H, L_z - (l + 1) * H
-    a = np.stack([np.hstack([a_hi, a_lo]), np.hstack([a_lo, a_hi])], axis=1)  # (l, image, p)
+    a = elc_offsets(levels - 1, H, L_z)  # (l, image, p)
     w = 0.5 * scale[:, :, None, None]
     partner = np.arange(2) ^ (l % 2 == 0)  # side q that side p couples with, (l, p)
     sig = np.array([[1.0], [-1.0]])  # sign of d/dz of the u and v factors, per h
@@ -273,7 +282,7 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
 
     Raises DomainError for an input outside the solvers' contract
     (`core.check_solvable`) and, with ELC on, unless L_z > (M+1)H
-    (`elc_h_cutoff`).  ELC runs first, so that check comes before the
+    (`errors.elc_gap`).  ELC runs first, so that check comes before the
     costlier terms.
     """
     check_solvable(system, spec)

@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import DielectricSpec, DomainError, EwaldParams, real_space_step_edge
-from .errors import ErrorBudget, splitting_error, total_budget
+from .core import (CorrectionFlags, DielectricSpec, DomainError, EwaldParams,
+                   real_space_step_edge)
+from .errors import BUDGET_TERMS, ErrorBudget, splitting_error, total_budget
 
 # relative gap kept below a real-space step edge; it dwarfs the rounding of s / alpha
 STEP_EDGE_MARGIN = 1e-9
@@ -121,19 +122,25 @@ def default_alpha_policy(req: ToleranceRequest, s: float) -> float:
     return s / max(r_0, edge * (1.0 - STEP_EDGE_MARGIN))
 
 
-def select_alpha(req: ToleranceRequest, s: float, L_z: float, H: float,
+def select_alpha(req: ToleranceRequest, s: float, L_z: float, H: float, M: int,
                  alpha_policy: Callable[[ToleranceRequest, float], float] | None = None
                  ) -> float:
     """alpha from the cost policy, raised if needed so the k_z-discretization
-    remainder stays below epsilon: alpha >= sqrt(log(1/eps)) / (L_z - H).
+    remainder stays below epsilon: alpha >= sqrt(log(1/eps)) / a_min.
+
+    a_min = L_z - (M+1)H is the gap between the image stack and its nearest
+    z-replica: the real-space sum leaves the replicas out, and drops about
+    erfc(alpha a_min) / a_min.  Raises DomainError unless a_min > 0.
     """
-    if L_z <= H:
-        raise DomainError("L_z must exceed H (no padding: splitting infeasible)")
+    a_min = L_z - (M + 1) * H
+    if a_min <= 0:
+        raise DomainError(f"L_z = {L_z:g} <= (M+1)H = {(M + 1) * H:g}: no gap between "
+                          "the image stack and its replicas (splitting infeasible)")
     alpha = (alpha_policy or default_alpha_policy)(req, s)
-    return max(alpha, math.sqrt(math.log(1.0 / req.epsilon)) / (L_z - H))
+    return max(alpha, math.sqrt(math.log(1.0 / req.epsilon)) / a_min)
 
 
-def select_splitting(req: ToleranceRequest, L_z: float, H: float,
+def select_splitting(req: ToleranceRequest, L_z: float, H: float, M: int,
                      alpha_policy: Callable[[ToleranceRequest, float], float] | None = None,
                      continuous_s: bool = False):
     """Step 3: splitting accuracy s and the (alpha, r_c, k_c) triple.
@@ -155,7 +162,7 @@ def select_splitting(req: ToleranceRequest, L_z: float, H: float,
         s = 1
         while splitting_error(s) > eps:
             s += 1
-    alpha = select_alpha(req, s, L_z, H, alpha_policy)
+    alpha = select_alpha(req, s, L_z, H, M, alpha_policy)
     return s, alpha, s / alpha, 2.0 * s * alpha
 
 
@@ -169,21 +176,20 @@ class TuneResult:
 def select_all(req: ToleranceRequest,
                alpha_policy: Callable[[ToleranceRequest, float], float] | None = None,
                continuous_s: bool = False) -> TuneResult:
-    """Run all three steps and report the predicted budget.
+    """Run all three steps and report the predicted budget of the default solve.
 
-    Budget fields above epsilon are flagged informationally (magnitudes with
-    unit constants routinely exceed a tight tolerance by a bounded constant; the
-    achievement criterion is order-of-magnitude).
+    The budget is that of `ewald3d.solve` with its default flags (YB and ELC
+    on).  Budget fields above epsilon are flagged informationally (magnitudes
+    with unit constants routinely exceed a tight tolerance by a bounded
+    constant; the achievement criterion is order-of-magnitude).
     """
     L_x, L_y, H = req.geometry
     m = select_M(req)
     lz = select_Lz(req, m)
-    s, alpha, _, _ = select_splitting(req, lz, H, alpha_policy=alpha_policy,
+    s, alpha, _, _ = select_splitting(req, lz, H, m, alpha_policy=alpha_policy,
                                       continuous_s=continuous_s)
     params = EwaldParams(alpha=alpha, s=s, L_z=float(lz), M=m)
-    budget = total_budget(params, req.spec, req.geometry)
-    exceeded = tuple(
-        name for name in ("splitting", "image_truncation", "elc_base",
-                          "elc_image", "trapezoidal")
-        if getattr(budget, name) > req.epsilon)
+    budget = total_budget(params, req.spec, req.geometry, CorrectionFlags())
+    exceeded = tuple(name for name in BUDGET_TERMS
+                     if getattr(budget, name) > req.epsilon)
     return TuneResult(params, budget, exceeded)

@@ -9,7 +9,8 @@ contraction's chunking and coefficient folding.  Both sums return cumulative
 per-level results exactly as the library routines do.  The in-plane modes,
 per-level structure factors and ELC channels they use are built here too,
 level by level from the scalar image scales and offsets, so the oracles share
-nothing with the array code they check.
+nothing with the array code they check but ELC's cutoff: the ELC loop sums
+the modes up to `errors.elc_cutoff`, as `ewald3d.elc_correction` does.
 
 `fourier_levels_unpruned` is `ewald2d._fourier_levels` without its per-mode
 block prefix: it evaluates every (mode, image block) pair.  It shares the library's mode list, kernel and per-level reduction on
@@ -22,9 +23,9 @@ import math
 
 import numpy as np
 
-from slabwald.core import DomainError, image_scales, image_z_offsets
+from slabwald.core import DomainError, image_levels, image_scales, image_z_offsets
+from slabwald.errors import elc_cutoff, splitting_error
 from slabwald.ewald2d import _half_plane_hvectors, _level_sums, g_alpha_terms
-from slabwald.ewald3d import elc_h_cutoff
 
 
 def half_plane_hvectors_loop(lx, ly, k_c):
@@ -165,8 +166,8 @@ def elc_correction_loop(system, spec, params, compute_forces=True):
     q = system.charges
     n = system.n
     channels = elc_channels_loop(spec, M, H, L_z)
-    h_max, _ = elc_h_cutoff(spec, M, H, L_z)
-    h_max = max(h_max, 2 * math.pi / max(lx, ly) * 1.001)
+    h_max = elc_cutoff(splitting_error(params.s), image_levels(spec, M, H)[0],
+                       system.cell, L_z)
 
     levels = M + 1
     e_lv = np.zeros(levels)

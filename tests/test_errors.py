@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabwald.core import DielectricSpec, DomainError, EwaldParams, image_levels
-from slabwald.errors import (ErrorBudget, amplification_factor, classify_regime,
-                             elc_energy_estimate, half_levels, image_truncation_energy,
-                             image_truncation_force, leading_order, splitting_error,
-                             total_budget)
+from slabwald.core import (CorrectionFlags, DielectricSpec, DomainError, EwaldParams,
+                           image_levels)
+from slabwald.errors import (ELC_FIRST_SHELL_MARGIN, ErrorBudget, amplification_factor,
+                             classify_regime, elc_cutoff, elc_energy_estimate,
+                             elc_truncation_energy, elc_truncation_force, half_levels,
+                             image_truncation_energy, image_truncation_force,
+                             leading_order, splitting_error, total_budget)
 
 
 def test_half_levels():
@@ -137,14 +139,74 @@ def test_splitting_error_values():
 def test_total_budget_assembly():
     params = EwaldParams(alpha=0.72, s=4.0, L_z=16.0, M=9)
     spec = DielectricSpec(0.6, 0.6)
-    b = total_budget(params, spec, (10.0, 10.0, 1.0))
+    geometry = (10.0, 10.0, 1.0)
+    b = total_budget(params, spec, geometry, CorrectionFlags(include_elc=False))
     assert b.total == pytest.approx(b.splitting + b.image_truncation + b.elc_base
                                     + b.elc_image + b.trapezoidal, rel=1e-15)
     assert b.splitting == pytest.approx(splitting_error(4.0), rel=1e-15)
     assert b.elc_base + b.elc_image == pytest.approx(
         elc_energy_estimate(9, 0.6, 0.6, 1.0, 10.0, 10.0, 16.0), rel=1e-13)
+    assert b.elc_truncation == 0.0
     assert b.g_u == pytest.approx(0.6 * math.exp(2 * math.pi / 10.0))
     assert b.regime == classify_regime(b.g_u, b.g_d)
+    # with ELC on, the coupling is removed and ELC's own cut is estimated instead
+    on = total_budget(params, spec, geometry, CorrectionFlags())
+    scale = image_levels(spec, 9, 1.0)[0]
+    h_max = elc_cutoff(splitting_error(4.0), scale, geometry, 16.0)
+    assert on.elc_base == on.elc_image == 0.0
+    assert on.elc_truncation == elc_truncation_energy(h_max, scale, geometry, 16.0)
+    assert 0.0 < on.elc_truncation <= on.splitting
+    assert on.total == pytest.approx(b.total - b.elc_base - b.elc_image
+                                     + on.elc_truncation, rel=1e-13)
+    with pytest.raises(DomainError, match="diverges"):
+        total_budget(EwaldParams(alpha=0.72, s=4.0, L_z=10.0, M=9), spec, geometry,
+                     CorrectionFlags())
+
+
+def test_elc_truncation_hand_sum():
+    """One image above the source: gamma_u = 0.5, gamma_d = 0, M = 1.
+
+    The source (level 0, scale 1) couples to both wall sides at a = L_z - H;
+    its level-1 image (scale 0.5) at a = L_z and L_z - 2H.  Each side weighs
+    |gamma|/2 (1 + 1/(h_1 a)) e^{-(h - h_1) a}, and a force term carries the
+    extra (h + 1/a)/h_1.
+    """
+    geometry, lz, h = (10.0, 5.0, 1.0), 4.0, 2.0
+    scale = image_levels(DielectricSpec(0.5, 0.0), 1, 1.0)[0]
+    h_1 = 2 * math.pi / 10.0
+    images = [(0.5, 3.0), (0.5, 3.0), (0.25, 4.0), (0.25, 2.0)]
+    energy = sum(w * (1 + 1 / (h_1 * a)) * math.exp(-(h - h_1) * a) for w, a in images)
+    force = sum(w * (1 + 1 / (h_1 * a)) * (h + 1 / a) / h_1 * math.exp(-(h - h_1) * a)
+                for w, a in images)
+    assert elc_truncation_energy(h, scale, geometry, lz) == pytest.approx(energy, rel=1e-14)
+    assert elc_truncation_force(h, scale, geometry, lz) == pytest.approx(force, rel=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gu=st.floats(-1.0, 1.0), gd=st.floats(-1.0, 1.0), m=st.integers(0, 40),
+       gap=st.floats(1e-3, 50.0), lx=st.floats(0.5, 50.0), aspect=st.floats(0.2, 5.0),
+       s=st.floats(0.5, 8.0))
+def test_elc_cutoff_inverts_the_force_estimate(gu, gd, m, gap, lx, aspect, s):
+    """The cutoff is where the force estimate reaches tol, or the first shell.
+
+    Both estimates fall as the cutoff grows, and the energy's stays below the
+    force's; 1e-7 below the cutoff the force estimate is above tol again.
+    """
+    geometry = (lx, lx * aspect, 1.0)
+    lz = (m + 1) + gap
+    scale = image_levels(DielectricSpec(gu, gd), m, 1.0)[0]
+    tol = splitting_error(s)
+    h = elc_cutoff(tol, scale, geometry, lz)
+    h_1 = 2 * math.pi / max(geometry[:2])
+    force = elc_truncation_force(h, scale, geometry, lz)
+    assert h >= ELC_FIRST_SHELL_MARGIN * h_1
+    if h > ELC_FIRST_SHELL_MARGIN * h_1:
+        assert force == pytest.approx(tol, rel=1e-9)
+        assert elc_truncation_force(h * (1 - 1e-7), scale, geometry, lz) > tol
+    else:
+        assert force <= tol * (1 + 1e-9)
+    assert elc_truncation_energy(h, scale, geometry, lz) <= force
+    assert elc_truncation_force(2 * h, scale, geometry, lz) < force
 
 
 def test_error_budget_validation():

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from loop_oracles import elc_correction_loop, fourier3d_core_loop
 from slabwald import ewald3d
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
-                           check_solvable, image_position, image_series)
-from slabwald.errors import trapezoid_remainder_estimate
+                           check_solvable, image_levels, image_position, image_series)
+from slabwald.errors import (elc_cutoff, elc_truncation_energy, elc_truncation_force,
+                             splitting_error, trapezoid_remainder_estimate)
 from slabwald.ewald2d import (_half_plane_hvectors, _real_space_levels, build_image_table,
                               energy_icm, forces_fd_check)
 from slabwald.harness import gen_system
@@ -98,17 +99,69 @@ def test_yb_forces_match_finite_differences(small_system):
                            step=1e-6, energy_fn=efn) < 1e-7
 
 
-def test_elc_truncation_certified_by_extra_shells(small_system, monkeypatch):
-    # a floor 12 decades lower widens the cutoff by several in-plane shells
-    spec = DielectricSpec(0.6, 0.6)
-    params = EwaldParams(alpha=1.0, s=6.0, L_z=12.0, M=6)
-    e0, f0 = elc_correction(small_system, spec, params)
-    monkeypatch.setattr(ewald3d, "ELC_TERM_FLOOR", 1e-30)
-    e1, f1 = elc_correction(small_system, spec, params)
-    e0, f0, e1, f1 = e0[-1], f0[-1], e1[-1], f1[-1]
-    scale = max(abs(e1), 1e-300)
-    assert abs(e0 - e1) < 1e-14 * scale
-    assert np.abs(f0 - f1).max() < 1e-14 * max(np.abs(f1).max(), scale)
+@st.composite
+def adversarial_elc_cases(draw):
+    """A system, walls and padded box at the edges of ELC's certified cutoff.
+
+    N = 2..14 neutral charges of +-1 and +-2 (pairs +q, -q, and for odd N one
+    triple 2, -1, -1 of either sign); L_x and L_y in [4, 20], with
+    L_y = L_x / 2 in some draws; H in [0.5, 2]; gamma_u, gamma_d from
+    {-1, -0.5, 0, 0.6, 0.95, 1}; M = 0..11; a gap a_min = L_z - (M+1)H in
+    [0.3, 8]; s = 2..5; and in some draws a source 1e-3 H from a wall.
+    """
+    n = draw(st.integers(2, 14))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    q = [sign * c for c in (2.0, -1.0, -1.0)] if n % 2 else []
+    pairs = (n - len(q)) // 2
+    for c in draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=pairs, max_size=pairs)):
+        q += [c, -c]
+    lx = draw(st.floats(4.0, 20.0))
+    ly = lx / 2 if draw(st.booleans()) else draw(st.floats(4.0, 20.0))
+    h = draw(st.floats(0.5, 2.0))
+    unit = st.floats(0.0, 1.0)
+    pos = np.array([[draw(unit) * lx, draw(unit) * ly, (0.05 + 0.9 * draw(unit)) * h]
+                    for _ in range(len(q))])
+    wall = draw(st.sampled_from([None, 0, 1]))
+    if wall is not None:
+        pos[0, 2] = 1e-3 * h if wall == 0 else h - 1e-3 * h
+    system = ChargeSystem(pos, np.array(q), (lx, ly, h))
+    gamma = st.sampled_from([-1.0, -0.5, 0.0, 0.6, 0.95, 1.0])
+    spec = DielectricSpec(draw(gamma), draw(gamma))
+    try:
+        check_solvable(system, spec)
+    except DomainError:  # hypothesis can draw two charges at one point
+        assume(False)
+    m = draw(st.integers(0, 11))
+    s = float(draw(st.integers(2, 5)))
+    lz = (m + 1) * h + draw(st.floats(0.3, 8.0))
+    return system, spec, EwaldParams(alpha=s / (min(lx, ly) / 4), s=s, L_z=lz, M=m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=adversarial_elc_cases())
+def test_elc_certified_cutoff_meets_its_tolerance(case):
+    """ELC at the certified cutoff differs from ELC at the 1e-18 floor by at most tol.
+
+    tol = splitting_error(s), relative to the solve's |E| and max |F|, or to
+    the ELC term's own when it is larger: a total that cancels far below its
+    terms is no scale for any of them.  Where the forces vanish by symmetry,
+    rounding is measured against the ELC energy of the same charges made
+    positive, which cannot cancel, times h_max for a force.
+    """
+    system, spec, params = case
+    tol = splitting_error(params.s)
+    res = solve(system, spec, params)
+    e_cut, f_cut = elc_correction(system, spec, params)
+    assert e_cut[-1] == res.breakdown["elc"]
+    scale = image_levels(spec, params.M, system.height)[0]
+    h_floor = elc_h_cutoff(spec, params.M, system.height, params.L_z)[0]
+    e_ref, f_ref = ewald3d._elc_modes(system, scale, params.L_z, h_floor, True)
+    e_ref, f_ref = e_ref[-1], f_ref[-1]
+    positive = ChargeSystem(system.positions, np.abs(system.charges), system.cell)
+    rounding = 1e-14 * abs(ewald3d._elc_modes(positive, scale, params.L_z, h_floor, False)[0][-1])
+    assert abs(e_cut[-1] - e_ref) <= tol * max(abs(res.energy), abs(e_ref)) + rounding
+    assert (np.abs(f_cut[-1] - f_ref).max()
+            <= tol * max(np.abs(res.forces).max(), np.abs(f_ref).max()) + h_floor * rounding)
 
 
 def test_elc_overflow_free_at_extreme_aspect():
@@ -125,9 +178,23 @@ def test_elc_cutoff_rejects_stack_at_or_above_padding():
     spec = DielectricSpec(0.9, 0.9)
     h_ok, warn_ok = elc_h_cutoff(spec, M=2, H=1.0, L_z=10.0)
     assert warn_ok == [] and h_ok == pytest.approx(math.log(1e18) / 7.0, rel=1e-15)
+    # the certified cutoff: the force estimate is tol there and above it just below
+    tol, geometry = splitting_error(4.0), (10.0, 10.0, 1.0)
+    scale = image_levels(spec, 2, 1.0)[0]
+    h_cut = elc_cutoff(tol, scale, geometry, 10.0)
+    assert elc_truncation_force(h_cut, scale, geometry, 10.0) == pytest.approx(tol, rel=1e-9)
+    assert elc_truncation_force(h_cut * (1 - 1e-6), scale, geometry, 10.0) > tol
+    # a split so tight that its accuracy underflows still gets a finite cutoff
+    assert splitting_error(30.0) == 0.0
+    assert math.isfinite(elc_cutoff(0.0, scale, geometry, 10.0))
     for m in (9, 12):  # L_z = (M+1)H and L_z < (M+1)H
-        with pytest.raises(DomainError, match="diverges"):
-            elc_h_cutoff(spec, M=m, H=1.0, L_z=10.0)
+        scale = image_levels(spec, m, 1.0)[0]
+        for call in (lambda: elc_h_cutoff(spec, M=m, H=1.0, L_z=10.0),
+                     lambda: elc_cutoff(tol, scale, geometry, 10.0),
+                     lambda: elc_truncation_energy(h_cut, scale, geometry, 10.0),
+                     lambda: elc_truncation_force(h_cut, scale, geometry, 10.0)):
+            with pytest.raises(DomainError, match="diverges"):
+                call()
 
 
 def test_elc_forces_match_finite_differences(small_system):
@@ -147,6 +214,11 @@ def test_trapezoid_remainder_values():
     assert trapezoid_remainder_estimate(p, H=1.0) == pytest.approx(
         math.exp(-25.0), rel=1e-15)
     assert trapezoid_remainder_estimate(p, H=11.0) == 1.0
+    # measured from the top of the image stack, (M+1)H, not from the slab's H
+    p = EwaldParams(alpha=0.5, s=6.0, L_z=11.0, M=8)
+    assert trapezoid_remainder_estimate(p, H=1.0) == pytest.approx(
+        math.exp(-1.0), rel=1e-15)
+    assert trapezoid_remainder_estimate(p, H=2.0) == 1.0  # stack above the box
 
 
 def test_solve_breakdown_and_flags(small_system):
@@ -307,27 +379,27 @@ def test_reciprocal_sum_is_independent_of_chunk_size(small_system, g, monkeypatc
 
 
 # (M, L_z, extra): plain; outside the domain, L_z = (M+1)H and L_z < (M+1)H;
-# ELC_TERM_FLOOR lowered to 1e-30, which must widen the cutoff by at least
-# `extra` in-plane shells
+# a tighter split, s = 8 against 6, whose certified ELC cutoff must lie at
+# least `extra` in-plane shells beyond the plain row's
 ELC_CASES = [(6, 14.0, 0), (9, 10.0, 0), (9, 8.0, 0), (6, 14.0, 2)]
 
 
 @pytest.mark.parametrize("g", GAMMAS)
 @pytest.mark.parametrize("m,lz,extra", ELC_CASES)
-def test_elc_contraction_matches_loop(small_system, g, m, lz, extra, chunk_elements,
-                                      monkeypatch):
+def test_elc_contraction_matches_loop(small_system, g, m, lz, extra, chunk_elements):
     spec = DielectricSpec(g, g)
-    params = EwaldParams(alpha=0.8, s=6.0, L_z=lz, M=m)
+    params = EwaldParams(alpha=0.8, s=8.0 if extra else 6.0, L_z=lz, M=m)
     if lz <= (m + 1) * small_system.height:
         for elc in (elc_correction_loop, elc_correction):
             with pytest.raises(DomainError, match="diverges"):
                 elc(small_system, spec, params)
         return
     if extra:
-        h_max = elc_h_cutoff(spec, m, small_system.height, lz)[0]
-        monkeypatch.setattr(ewald3d, "ELC_TERM_FLOOR", 1e-30)
+        scale = image_levels(spec, m, small_system.height)[0]
+        h_plain = elc_cutoff(splitting_error(6.0), scale, small_system.cell, lz)
         shell = 2 * math.pi / max(small_system.lx, small_system.ly)
-        assert elc_h_cutoff(spec, m, small_system.height, lz)[0] >= h_max + extra * shell
+        assert (elc_cutoff(splitting_error(params.s), scale, small_system.cell, lz)
+                >= h_plain + extra * shell)
     e_ref, f_ref = elc_correction_loop(small_system, spec, params)
     e_scale, f_scale = _term_scale(e_ref), _term_scale(f_ref)
     e, f = elc_correction(small_system, spec, params)
@@ -402,7 +474,8 @@ def test_elc_contraction_matches_loop_on_random_systems(case):
     # A force term is an energy term times an in-plane mode |h| of at most h_max.
     floor = _positive_charge_scale(
         lambda *a: elc_correction_loop(*a, compute_forces=False), system, spec, params)
-    h_max = elc_h_cutoff(spec, params.M, system.height, params.L_z)[0]
+    h_max = elc_cutoff(splitting_error(params.s), image_levels(spec, params.M, system.height)[0],
+                       system.cell, params.L_z)
     assert np.abs(e - e_ref).max() <= 1e-14 * max(_term_scale(e_ref), floor)
     assert np.abs(f - f_ref).max() <= 1e-14 * max(_term_scale(f_ref), h_max * floor)
 
@@ -466,8 +539,10 @@ def test_real_space_stops_at_cutoff_level_bit_for_bit(case):
 def test_elc_mode_grid_is_bounded_before_allocation(small_system, monkeypatch):
     """Just above the image stack h_max explodes; the grid size raises before np.mgrid runs.
 
-    10 x 10 cell, H = 1, M = 6, L_z = 7.001: h_max = ln(1e18) / 0.001, a grid
-    of 8.7e9 (n_x, n_y) points that would need about 130 GiB.
+    10 x 10 cell, H = 1, M = 6, L_z = 7.001, s = 6: the certified cutoff is
+    h_max = 5.5e4, where the force estimate falls to splitting_error(6) =
+    6.4e-18 across the gap of 0.001, a grid of 1.5e10 (n_x, n_y) points that
+    would need about 580 GiB.
     """
     class NoGrid:
         def __getitem__(self, key):
@@ -477,5 +552,5 @@ def test_elc_mode_grid_is_bounded_before_allocation(small_system, monkeypatch):
     spec = DielectricSpec(0.6, 0.6)
     params = EwaldParams(alpha=0.8, s=6.0, L_z=7.001, M=6)
     for call in (solve, elc_correction):
-        with pytest.raises(DomainError, match=r"in-plane mode grid of 87\d{8} points"):
+        with pytest.raises(DomainError, match=r"in-plane mode grid of 1549\d{7} points"):
             call(small_system, spec, params)

@@ -295,6 +295,26 @@ def test_cli_s_option_keeps_the_trapezoid_floor(tmp_path, capsys):
     assert alpha_of("--alpha", "1.6") == pytest.approx(1.6, rel=1e-12)
 
 
+def test_cli_s_option_floor_measures_from_the_image_stack(tmp_path, capsys):
+    """With --M, the --s path's floor is sqrt(ln(1/eps)) / (L_z - (M+1)H).
+
+    M = 9 in L_z = 11 leaves a gap of 1 above the image stack, so alpha is
+    sqrt(ln 1e4), not the policy's 1 that the gap L_z - H = 10 allowed; a
+    stack that reaches L_z is a validation error.
+    """
+    path = tmp_path / "sys.txt"
+    write_system(path, gen_system(3))
+    sum_q2 = float(np.sum(read_system(path).charges ** 2))
+    args = ["energy", str(path), "--solver", "ewald3d", "--gamma-u", "0.6", "--gamma-d",
+            "0.6", "--eps", "1e-4", "--s", "3", "--M", "9"]
+    assert cli_main(args + ["--Lz", "11"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    alpha = -float(next(r[1] for r in rows if r[0] == "self")) * math.sqrt(math.pi) / sum_q2
+    assert alpha == pytest.approx(math.sqrt(math.log(1e4)), rel=1e-12)
+    assert cli_main(args + ["--Lz", "10"]) == 1
+    assert "no gap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option,value", [("--H", "nan"), ("--Lx", "inf"), ("--Ly", "nan")])
 def test_cli_tune_rejects_non_finite_geometry(capsys, option, value):
     geometry = {"--H": "1", "--Lx": "10", "--Ly": "10", option: value}
@@ -368,6 +388,9 @@ def test_cli_tune_and_table(capsys):
                      "0.6", "--H", "1", "--Lx", "10", "--Ly", "10"]) == 0
     out = capsys.readouterr().out
     assert "M      17" in out and "s      4" in out
+    # the budget of the default solve: ELC's cut, below eps and not flagged
+    assert "exceeds" not in next(line for line in out.splitlines() if "elc_truncation" in line)
+    assert "elc_image         0.000e+00\n" in out
 
     assert cli_main(["table1"]) == 0
     table = capsys.readouterr().out.strip().splitlines()

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from slabwald import ewald3d
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
                            real_space_reach, real_space_step_edge)
-from slabwald.errors import splitting_error
+from slabwald.errors import splitting_error, total_budget
 from slabwald.ewald2d import build_image_table, energy_icm
-from slabwald.harness import default_alpha, reference_level
+from slabwald.harness import default_alpha, gen_system, reference_level
 from slabwald.tuner import (ToleranceRequest, contracting_padding, default_alpha_policy,
                             select_all, select_alpha, select_Lz, select_M,
                             select_splitting)
@@ -75,7 +75,7 @@ def test_select_Lz_amplifying_grows_with_M():
 
 def test_select_splitting_minimal_integer_s():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    s, alpha, r_c, k_c = select_splitting(req, L_z=30.0, H=1.0)
+    s, alpha, r_c, k_c = select_splitting(req, L_z=30.0, H=1.0, M=17)
     assert s == int(s)
     assert splitting_error(s) <= 1e-8 < splitting_error(s - 1)
     assert r_c == pytest.approx(s / alpha)
@@ -84,25 +84,86 @@ def test_select_splitting_minimal_integer_s():
 
 def test_select_splitting_continuous_hits_tolerance():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    s, _, _, _ = select_splitting(req, L_z=30.0, H=1.0, continuous_s=True)
+    s, _, _, _ = select_splitting(req, L_z=30.0, H=1.0, M=17, continuous_s=True)
     assert splitting_error(s) == pytest.approx(1e-8, rel=1e-6)
     # continuous root is never above the integer choice
-    s_int, _, _, _ = select_splitting(req, L_z=30.0, H=1.0)
+    s_int, _, _, _ = select_splitting(req, L_z=30.0, H=1.0, M=17)
     assert s <= s_int
 
 
 def test_select_splitting_alpha_floor():
     # thin padding forces alpha above the cost-policy value
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    s, alpha, _, _ = select_splitting(req, L_z=2.0, H=1.0)
+    s, alpha, _, _ = select_splitting(req, L_z=2.0, H=1.0, M=0)
     assert alpha >= math.sqrt(math.log(1e8)) / 1.0
     with pytest.raises(DomainError):
-        select_splitting(req, L_z=1.0, H=1.0)
+        select_splitting(req, L_z=1.0, H=1.0, M=0)
+
+
+def test_alpha_floor_measures_from_the_image_stack():
+    """The floor is sqrt(ln(1/eps)) / a_min with a_min = L_z - (M+1)H, not L_z - H.
+
+    A padded box that just clears its image stack (M = 20 in L_z = 22) needs
+    the same alpha as a slab with a gap of 1 and no images; L_z <= (M+1)H
+    leaves no gap and raises.
+    """
+    req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
+    floor = math.sqrt(math.log(1e8))
+    assert select_alpha(req, 4, 22.0, 1.0, 20) == floor
+    _, alpha, _, _ = select_splitting(req, L_z=22.0, H=1.0, M=20)
+    assert alpha == floor
+    for lz in (21.0, 15.0):
+        with pytest.raises(DomainError, match="no gap"):
+            select_alpha(req, 4, lz, 1.0, 20)
+        with pytest.raises(DomainError, match="no gap"):
+            select_splitting(req, L_z=lz, H=1.0, M=20)
+
+
+def test_alpha_floor_meets_epsilon_in_a_thin_metal_box():
+    """Metal walls at eps = 1e-10 with the tuned M = 38 in a user's L_z = 40.
+
+    The image stack reaches (M+1)H = 39, so the z-replicas of the top images
+    lie a_min = 1 from the slab: the floor gives alpha = sqrt(ln 1e10) = 4.8,
+    where the floor measured from L_z - H gave the policy's 5/3 and an energy
+    1.9e-6 off the ewald2d reference.  First input of the metal_tight benchmark
+    workload (seed 1), energy only.
+    """
+    spec = DielectricSpec(-1.0, -1.0)
+    req = ToleranceRequest(1e-10, GEOM, spec)
+    system = gen_system(1)
+    m = select_M(req)
+    assert m == 38
+    s, alpha, _, _ = select_splitting(req, L_z=40.0, H=1.0, M=m)
+    assert (s, alpha) == (5, math.sqrt(math.log(1e10)))
+    res = ewald3d.solve(system, spec, EwaldParams(alpha=alpha, s=s, L_z=40.0, M=m),
+                        compute_forces=False)
+    ref = energy_icm(system, spec,
+                     EwaldParams(alpha=default_alpha(6.0, GEOM), s=6.0, L_z=2.0,
+                                 M=reference_level(spec, GEOM)), compute_forces=False)
+    assert abs(res.energy - ref.energy) <= 10 * req.epsilon * abs(ref.energy)
+
+
+@pytest.mark.parametrize("gamma,eps", [(0.6, 1e-8), (0.6, 1e-4), (-1.0, 1e-10)],
+                         ids=["md_dense", "mc_loose", "metal_tight"])
+def test_select_all_budget_describes_the_default_solve(gamma, eps):
+    """With ELC on, the budget reports ELC's cut, not the coupling ELC removes.
+
+    On the benchmark's three tuned solve workloads the ELC terms stay below
+    epsilon, and nothing ELC-related is flagged.
+    """
+    req = ToleranceRequest(eps, GEOM, DielectricSpec(gamma, gamma))
+    res = select_all(req)
+    b = res.budget
+    assert b.elc_base == b.elc_image == 0.0
+    assert 0.0 < b.elc_truncation <= b.splitting <= eps
+    assert not {"elc_base", "elc_image", "elc_truncation"} & set(res.exceeded)
+    off = total_budget(res.params, req.spec, GEOM, ewald3d.CorrectionFlags(include_elc=False))
+    assert off.elc_image > eps  # the coupling the padding alone leaves
 
 
 def test_custom_alpha_policy_is_used():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    _, alpha, _, _ = select_splitting(req, L_z=30.0, H=1.0,
+    _, alpha, _, _ = select_splitting(req, L_z=30.0, H=1.0, M=17,
                                       alpha_policy=lambda r, s: 7.25)
     assert alpha == 7.25
 
@@ -198,7 +259,7 @@ def test_default_alpha_policy_tops_the_real_space_step(case):
     assert built == [reach[0], reach[0]]
 
     floor = math.sqrt(math.log(1.0 / req.epsilon)) / (lz - h)
-    got = select_alpha(req, s, lz, h)
+    got = select_alpha(req, s, lz, h, 0)
     assert got == max(alpha, floor)
     if thin:
         assert got == floor > alpha
