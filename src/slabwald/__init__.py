@@ -10,10 +10,10 @@ from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
                    image_series, read_system, reflection_factors, validate,
                    write_system)
 from .errors import (ErrorBudget, elc_energy_estimate, image_truncation_energy,
-                     image_truncation_force, leading_order, splitting_error,
-                     total_budget, trapezoid_remainder_estimate)
+                     image_truncation_force, splitting_error, total_budget,
+                     trapezoid_remainder_estimate)
 from .ewald2d import (energy_homogeneous, energy_icm, forces_fd_check,
-                      g0_alpha, g_alpha, icm_level_sweep, spectral_image_energy)
+                      g0_alpha, icm_level_sweep)
 from .ewald3d import (CorrectionFlags, elc_correction, fourier3d_energy, solve,
                       solve_levels, yb_correction)
 from .harness import (SweepConfig, SweepRow, fit_decay, gen_system,
@@ -29,10 +29,10 @@ __all__ = [
     "image_series", "read_system", "reflection_factors", "validate",
     "write_system",
     "ErrorBudget", "elc_energy_estimate", "image_truncation_energy",
-    "image_truncation_force", "leading_order", "splitting_error",
-    "total_budget", "trapezoid_remainder_estimate",
+    "image_truncation_force", "splitting_error", "total_budget",
+    "trapezoid_remainder_estimate",
     "energy_homogeneous", "energy_icm", "forces_fd_check", "g0_alpha",
-    "g_alpha", "icm_level_sweep", "spectral_image_energy",
+    "icm_level_sweep",
     "CorrectionFlags", "elc_correction", "fourier3d_energy", "solve",
     "solve_levels", "yb_correction",
     "SweepConfig", "SweepRow", "fit_decay", "gen_system", "parse_config",

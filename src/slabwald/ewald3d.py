@@ -15,6 +15,9 @@ returns it and `solve` reads level M from it.
 Everything is factored through per-particle structure factors, so cost is
 O(N · #k) rather than O(N^2 · #k), and per-image-level reductions come for free.
 The reciprocal sum orders its in-plane blocks by |h| and trims each chunk's k_z.
+Each chunk costs one structure-factor product and one force product: with
+coefficients even in k_z, lambda and the force sums' lambda half are read off
+the k_z mirror of rho and of the force sums' rho half.
 """
 
 from __future__ import annotations
@@ -59,10 +62,14 @@ def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldPar
     """k != 0 reciprocal-space sum; returns cumulative per-level (energies, forces).
 
     Modes are enumerated as in-plane blocks (one of each +-h pair) times the
-    k_z column |k| <= k_c allows.  The structure factors of a chunk of blocks
-    are one matrix product, rho = (q XY) @ ez^T with lambda from conj(XY); the
-    force sums are the same products transposed, weights^T @ XY, accumulated
-    over chunks and multiplied by ez once at the end.
+    k_z column |k| <= k_c allows; the h = 0 block carries both signs of k_z at
+    half weight (its two halves are conjugates), so every coefficient is even
+    in k_z.  A chunk of blocks costs one product for its structure factors,
+    rho = (q XY) @ ez^T with XY read from per-axis phase tables, and
+    lambda(h, k_z) = conj(rho(h, -k_z)) is rho reversed along the chunk's
+    symmetric k_z window.  The force sums t_a = (coef conj(rho))^T @ XY are one
+    more product per chunk; their lambda half is t_a's k_z mirror plus its
+    conjugate, and both halves meet ez once at the end.
     """
     lx, ly, H = system.cell
     lz = params.L_z
@@ -88,40 +95,38 @@ def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldPar
     blocks, hrho2 = blocks[order], hrho2[order]
     # k_z column of each block: |k_z index| <= dz, i.e. |k| <= k_c
     dz = np.floor(np.sqrt(k_c * k_c - hrho2) * lz / (2 * math.pi))
+    weight = np.where(hrho2 > 0, 1.0, 0.5)
     inv4a2 = 1.0 / (4.0 * alpha * alpha)
+    # every h lies on the 2 pi/L lattice: XY = (q ex)[m_x] ey[m_y], m_x >= 0
+    m = np.rint(blocks * [lx / (2 * math.pi), ly / (2 * math.pi)]).astype(int)
+    my_max = int(np.abs(m[:, 1]).max())
+    qex = q * np.exp(2j * math.pi / lx * np.outer(np.arange(m[:, 0].max() + 1), pos[:, 0]))
+    ey = np.exp(2j * math.pi / ly * np.outer(np.arange(-my_max, my_max + 1), pos[:, 1]))
 
     p_acc = np.zeros(nzed, dtype=complex)
     q_acc = np.zeros(nzed, dtype=complex)
     if compute_forces:
         # (NZ, 3N): column blocks for x, y, z weighted by h_x, h_y and 1 (k_z
-        # applied last).  t_b pairs lambda with XY and rho with conj(XY): the
-        # two enter x and y with opposite signs, z with the same sign.
+        # applied last)
         t_a = np.zeros((nzed, 3 * n), dtype=complex)
-        t_b = np.zeros((nzed, 3 * n), dtype=complex)
-        flip = np.repeat([-1.0, -1.0, 1.0], n)
 
     lo = 0
     while lo < len(blocks):
         # k_z beyond the chunk's first (widest) column are dead for all its blocks
         zs = slice(nz_max - int(dz[lo]), nz_max + int(dz[lo]) + 1)
         hi = lo + max(1, CHUNK_ELEMENTS // max(zs.stop - zs.start, 3 * n))
-        hx = blocks[lo:hi, 0:1]
-        hy = blocks[lo:hi, 1:2]
-        h2 = hrho2[lo:hi, None]
-        # the (0,0,-k_z) mirrors live in the h = 0 block: keep k_z > 0 only,
-        # the global half-plane factor 2 supplies them
-        live = (np.abs(kz_index[zs]) <= dz[lo:hi, None]) & ((h2 > 0) | (kz[zs] > 0))
+        hx, hy, h2 = blocks[lo:hi, 0:1], blocks[lo:hi, 1:2], hrho2[lo:hi, None]
+        live = (np.abs(kz_index[zs]) <= dz[lo:hi, None]) & ((h2 > 0) | (kz_index[zs] != 0))
         k2 = np.where(live, h2 + kz[zs] * kz[zs], 1.0)
-        coef = np.where(live, np.exp(-k2 * inv4a2) / k2, 0.0)  # (B, NZ)
-        qxy = q * np.exp(1j * (hx * pos[:, 0] + hy * pos[:, 1]))  # (B, N)
+        coef = np.where(live, weight[lo:hi, None] * np.exp(-k2 * inv4a2) / k2, 0.0)  # (B, NZ)
+        qxy = qex[m[lo:hi, 0]] * ey[m[lo:hi, 1] + my_max]  # (B, N)
         rho = qxy @ ez[zs].T
-        lam = np.conj(qxy) @ ez[zs].T
-        p_acc[zs] += np.sum(coef * (rho * np.conj(rho)), axis=0)
-        q_acc[zs] += np.sum(coef * rho * lam, axis=0)
+        w = coef * np.conj(rho)
+        p_acc[zs] += np.sum(rho * w, axis=0)
+        # coef lambda = coef conj(rho(-k_z)) = w reversed in k_z, as coef is even
+        q_acc[zs] += np.sum(rho * w[:, ::-1], axis=0)
         if compute_forces:
-            rhs = np.hstack([hx * qxy, hy * qxy, qxy])
-            t_a[zs] += (coef * np.conj(rho)).T @ rhs
-            t_b[zs] += (coef * lam).T @ rhs + (coef * rho).T @ (np.conj(rhs) * flip)
+            t_a[zs] += w.T @ np.hstack([hx * qxy, hy * qxy, qxy])
         lo = hi
 
     # half-plane of in-plane modes was enumerated; mirrors contribute the
@@ -130,6 +135,9 @@ def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldPar
     energies = 2.0 * pref * np.real(sa @ p_acc + sb @ q_acc)
     forces = None
     if compute_forces:
+        # the lambda sums, (coef lambda)^T @ XY + (coef rho)^T @ conj(XY): lambda
+        # and conj(XY) enter x and y with opposite signs, z with the same sign
+        t_b = t_a[::-1] + np.repeat([-1.0, -1.0, 1.0], n) * np.conj(t_a)
         forces = np.zeros((sa.shape[0], n, 3))
         for ax in range(3):
             cols = slice(ax * n, (ax + 1) * n)

@@ -1,5 +1,5 @@
 """Loop forms of the in-plane mode list, the padded-box reciprocal sum and ELC,
-and the unpruned ewald2d Fourier sum.
+the unpruned ewald2d Fourier sum, and the spectral image-energy oracle.
 
 These are the per-mode Python loops that `ewald2d` and `ewald3d` replaced
 with array code (a masked grid, chunked contractions).  They are kept here,
@@ -13,8 +13,17 @@ nothing with the array code they check but ELC's cutoff: the ELC loop sums
 the modes up to `errors.elc_cutoff`, as `ewald3d.elc_correction` does.
 
 `fourier_levels_unpruned` is `ewald2d._fourier_levels` without its per-mode
-block prefix: it evaluates every (mode, image block) pair.  It shares the library's mode list, kernel and per-level reduction on
-purpose, so that a comparison isolates the skipped blocks.
+block prefix: it evaluates every (mode, image block) pair.  It shares the
+library's mode list, kernel and per-level reduction on purpose, so that a
+comparison isolates the skipped blocks.
+
+`spectral_image_energy` is an independent oracle for ewald2d's image
+contribution: the lattice Fourier expansion of the reflected-series Green's
+function, summed shell by shell as a scalar series over levels per in-plane
+mode, on top of ewald2d's homogeneous energy.  It checks the solvers' input
+contract first, and raises `DomainError` before its mode sum when that sum
+would need more than MAX_SPECTRAL_SHELLS shells (a source very close to a
+reflecting wall).
 """
 
 from __future__ import annotations
@@ -23,9 +32,13 @@ import math
 
 import numpy as np
 
-from slabwald.core import DomainError, image_levels, image_scales, image_z_offsets
+from slabwald.core import (DomainError, EwaldParams, check_solvable, image_levels,
+                           image_scales, image_z_offsets)
 from slabwald.errors import elc_cutoff, splitting_error
-from slabwald.ewald2d import _half_plane_hvectors, _level_sums, g_alpha_terms
+from slabwald.ewald2d import (_half_plane_hvectors, _level_sums, energy_homogeneous,
+                              g_alpha_terms)
+
+MAX_SPECTRAL_SHELLS = 20000  # mode shells `spectral_image_energy` sums before it gives up
 
 
 def half_plane_hvectors_loop(lx, ly, k_c):
@@ -227,3 +240,91 @@ def fourier_levels_unpruned(system, table, params, compute_forces):
             acc[1] += -hy * s_g
             acc[2] += pref * cphase * (h * gm)
     return _level_sums(table, coeff, acc_e, acc)
+
+
+def spectral_image_energy(system, spec, M_large, params=None, shell_rtol=1e-14):
+    """Independent oracle for the image contribution via planewise plane-wave sums.
+
+    The homogeneous part is the ordinary Ewald2D energy; the image part is the
+    lattice Fourier expansion of the reflected-series Green's function, summed
+    as scalar geometric-type series per in-plane mode.  Convergence in the mode
+    sum is certified adaptively (three consecutive quiet shells), on top of the
+    e^{-2hH} < 1e-18 baseline; truncating on the baseline alone under-resolves
+    sources close to a wall.  Raises DomainError for an input outside the
+    solvers' contract (`core.check_solvable`), and before the mode sum when it
+    would need more than MAX_SPECTRAL_SHELLS shells: for a source too close to
+    a reflecting wall, or a slab too thin for its cell.
+    """
+    check_solvable(system, spec)
+    lx, ly, H = system.cell
+    if abs(spec.gamma_u * spec.gamma_d) >= 1.0 and M_large < 1:
+        raise DomainError("M_large too small")
+    if params is None:
+        alpha = 6.0 / (min(lx, ly) / 2.0)
+        params = EwaldParams(alpha=alpha, s=6.0, L_z=H * 2, M=0)
+    homo = energy_homogeneous(system, params, compute_forces=False).energy
+    if not spec.polarizable:
+        return homo
+
+    q = system.charges
+    pos = system.positions
+    z = pos[:, 2]
+    # A source d from a reflecting wall adds terms of order e^{-2hd}, and shell s has
+    # h >= 2 pi s / max(Lx, Ly): about the shells the stopping rule below needs.
+    d = min(H - z.max() if spec.gamma_u else math.inf, z.min() if spec.gamma_d else math.inf)
+    shells = max(math.log(1.0 / shell_rtol) / d, math.log(1e18) / H) * max(lx, ly) / (4 * math.pi)
+    if shells > MAX_SPECTRAL_SHELLS:
+        raise DomainError(f"mode sum needs about {shells:.3g} shells, more than "
+                          f"{MAX_SPECTRAL_SHELLS}: a source is {d:.3g} from a reflecting "
+                          f"wall, in a slab of height {H:.3g}")
+    gp = [image_scales(spec, l) for l in range(0, M_large + 1)]  # gp[l] = (g+, g-)
+
+    h_base = math.log(1e18) / (2.0 * H)
+    total = 0.0
+    quiet = 0
+    shell = 0
+    prev_total = 0.0
+    while True:
+        shell += 1
+        # ring of index-space radius `shell`
+        pts = []
+        for nx in range(-shell, shell + 1):
+            for ny in range(-shell, shell + 1):
+                if max(abs(nx), abs(ny)) == shell:
+                    pts.append((nx, ny))
+        contrib = 0.0
+        for nx, ny in pts:
+            hx = 2 * math.pi * nx / lx
+            hy = 2 * math.pi * ny / ly
+            h = math.hypot(hx, hy)
+            phase = np.exp(1j * (hx * pos[:, 0] + hy * pos[:, 1]))
+            a = np.sum(q * phase * np.exp(-h * (H - z)))   # bounded
+            b = np.sum(q * phase * np.exp(-h * z))         # bounded
+            aa = abs(a) ** 2
+            bb = abs(b) ** 2
+            ab2 = 2.0 * (a * np.conj(b)).real
+            t = math.exp(-2.0 * h * H)
+            val = 0.0
+            decay = 1.0  # e^{-(l-1) h H} stepped by sqrt(t) per level
+            for l in range(1, M_large + 1):
+                g_plus, g_minus = gp[l]
+                if l % 2 == 1:
+                    val += decay * (g_plus * aa + g_minus * bb)
+                else:
+                    val += decay * g_plus * ab2  # g_plus == g_minus for even l
+                decay *= math.exp(-h * H)
+            contrib += val / h
+        contrib *= math.pi / (lx * ly)
+        total += contrib
+        h_min_next = 2 * math.pi * shell / max(lx, ly)
+        converged_baseline = math.exp(-2 * h_min_next * H) < 1e-18
+        if abs(total - prev_total) <= shell_rtol * max(abs(total), abs(homo)):
+            quiet += 1
+        else:
+            quiet = 0
+        prev_total = total
+        if converged_baseline and quiet >= 3:
+            break
+        if shell > MAX_SPECTRAL_SHELLS:
+            raise DomainError("mode sum failed to converge")
+    return homo + total

@@ -9,11 +9,41 @@ from hypothesis import strategies as st
 
 from slabwald.core import (CorrectionFlags, DielectricSpec, DomainError, EwaldParams,
                            image_levels)
-from slabwald.errors import (ELC_FIRST_SHELL_MARGIN, ErrorBudget, amplification_factor,
-                             classify_regime, elc_cutoff, elc_energy_estimate,
-                             elc_truncation_energy, elc_truncation_force, half_levels,
-                             image_truncation_energy, image_truncation_force,
-                             leading_order, splitting_error, total_budget)
+from slabwald.errors import (ELC_FIRST_SHELL_MARGIN, ErrorBudget, classify_regime,
+                             elc_cutoff, elc_energy_estimate, elc_truncation_energy,
+                             elc_truncation_force, half_levels, image_truncation_energy,
+                             image_truncation_force, splitting_error, total_budget)
+
+
+def amplification_factor(M: int, g_u: float, g_d: float) -> float:
+    """Exact finite image-sum amplification of the layer-coupling base term.
+
+    (g_u + g_d + 2) sum_{l=0}^{floor((M-1)/2)} (g_u g_d)^l
+    + ((-1)^M + 1) (g_u g_d)^{floor(M/2)} - 1; equals 1 at M = 0.
+    """
+    gg = g_u * g_d
+    geo = sum(gg ** l for l in range(0, (M - 1) // 2 + 1)) if M >= 1 else 0.0
+    parity = ((-1.0) ** M + 1.0) * gg ** (M // 2)
+    return (g_u + g_d + 2.0) * geo + parity - 1.0
+
+
+def leading_order(M: int, g_u: float, g_d: float, H: float,
+                  L_x: float, L_y: float, L_z: float) -> tuple[str, float]:
+    """Leading-order layer-coupling error magnitude and its regime label.
+
+    Contracting systems get the M-independent uniform bound
+    (g_u + g_d + 2) e^{-2 pi L_z / max}; marginal and amplifying systems use the
+    exact finite amplification sum times the base decay e^{-2 pi (L_z-H)/max},
+    which removes the regime-boundary discontinuity of the asymptotic shortcuts.
+    """
+    mx = max(L_x, L_y)
+    regime = classify_regime(g_u, g_d)
+    if regime == "contracting":
+        mag = (g_u + g_d + 2.0) * math.exp(-2.0 * math.pi * L_z / mx)
+    else:
+        mag = (abs(amplification_factor(M, g_u, g_d))
+               * math.exp(-2.0 * math.pi * (L_z - H) / mx))
+    return regime, mag
 
 
 def test_half_levels():

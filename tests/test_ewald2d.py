@@ -11,14 +11,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from loop_oracles import fourier_levels_unpruned, half_plane_hvectors_loop
+from loop_oracles import (fourier_levels_unpruned, half_plane_hvectors_loop,
+                          spectral_image_energy)
 from slabwald import ewald2d
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
                            check_solvable)
 from slabwald.ewald2d import (_fourier_levels, _half_plane_hvectors, _real_space_levels,
                               build_image_table, energy_homogeneous, energy_icm,
-                              forces_fd_check, g0_alpha, g_alpha, g_alpha_terms,
-                              icm_level_sweep, spectral_image_energy)
+                              forces_fd_check, g0_alpha, g_alpha_terms,
+                              icm_level_sweep)
+
+
+def g_alpha(h, z, alpha):
+    """e^{hz} erfc(h/2a + a z) + e^{-hz} erfc(h/2a - a z); even in z."""
+    tp, tm = g_alpha_terms(h, z, alpha)
+    return tp + tm
 
 
 def _g_quadrature(h, z, alpha):

@@ -378,6 +378,50 @@ def test_reciprocal_sum_is_independent_of_chunk_size(small_system, g, monkeypatc
             assert np.abs(got - ref).max() <= 1e-14 * _term_scale(ref)
 
 
+# (cell, alpha, s, L_z) with k_c = 2 s alpha, and whether the h = 0 block
+# runs alone in the first chunk
+RECIPROCAL_EDGES = {
+    # k_c = 0.6 lies below the first in-plane shell 2 pi/10: only h = 0 runs;
+    # a tall slab keeps its structure factors from cancelling to k_z sum(q z)
+    "h0-column-only": ((10.0, 10.0, 8.0), 0.1, 3.0, 40.0, False),
+    # k_c = 0.4 lies below 2 pi/L_z: no mode is live
+    "no-live-mode": ((10.0, 10.0, 1.0), 0.1, 2.0, 14.0, False),
+    # L_x = 3 L_y: the per-axis phase tables span different index ranges
+    "elongated": ((15.0, 5.0, 1.0), 0.8, 6.0, 14.0, False),
+    "h0-alone-in-chunk": ((10.0, 10.0, 1.0), 0.8, 6.0, 14.0, True),
+}
+
+
+@pytest.mark.parametrize("g", GAMMAS)
+@pytest.mark.parametrize("case", list(RECIPROCAL_EDGES))
+def test_reciprocal_edge_cases_match_loop(small_system, g, case, monkeypatch):
+    (lx, ly, h), alpha, s, lz, h0_alone = RECIPROCAL_EDGES[case]
+    system = ChargeSystem(small_system.positions * [lx / 10.0, ly / 10.0, h],
+                          small_system.charges, (lx, ly, h))
+    spec = DielectricSpec(g, g)
+    params = EwaldParams(alpha=alpha, s=s, L_z=lz, M=6)
+    nz_max = math.floor(params.k_c * lz / (2 * math.pi))
+    n_blocks = 1 + len(_half_plane_hvectors(lx, ly, params.k_c))
+    assert (n_blocks == 1) == (case in ("h0-column-only", "no-live-mode"))
+    assert (nz_max == 0) == (case == "no-live-mode")
+    if h0_alone:
+        # room for one full-width column: h = 0 fills the first chunk, and the
+        # later chunks, narrower, hold several blocks
+        width = 2 * nz_max + 1
+        monkeypatch.setattr(ewald3d, "CHUNK_ELEMENTS", 2 * width - 1)
+        assert (2 * width - 1) // max(width, 3 * system.n) == 1
+    e_ref, f_ref = fourier3d_core_loop(system, spec, params, True)
+    e, f = ewald3d._fourier3d_core(system, spec, params, True)
+    e_only, _ = ewald3d._fourier3d_core(system, spec, params, False)
+    assert np.array_equal(e_only, e)
+    assert np.abs(e - e_ref).max() <= 1e-14 * _term_scale(e_ref)
+    assert np.abs(f - f_ref).max() <= 1e-14 * _term_scale(f_ref)
+    if case == "no-live-mode":
+        assert not e.any() and not f.any()
+    else:
+        assert np.abs(e).max() > 0.0 and np.abs(f).max() > 0.0
+
+
 # (M, L_z, extra): plain; outside the domain, L_z = (M+1)H and L_z < (M+1)H;
 # a tighter split, s = 8 against 6, whose certified ELC cutoff must lie at
 # least `extra` in-plane shells beyond the plain row's
