@@ -182,23 +182,42 @@ def elc_cutoff(tol: float, scale: np.ndarray, geometry: tuple[float, float, floa
 
     The smallest h_max whose `elc_truncation_force`, and so also
     `elc_truncation_energy`, is <= tol (to rounding), and never below the
-    first shell (times ELC_FIRST_SHELL_MARGIN).  Found by Newton's method on
-    the log of the estimate, from h_1 + ln(sum of its weights / tol) / a_min,
-    never stepping below h_1.  Raises DomainError unless L_z > (M+1)H (`elc_gap`).
+    first shell (times ELC_FIRST_SHELL_MARGIN).  The estimate falls strictly
+    with h, so its root is kept in a bracket lo < h <= hi with the estimate
+    above tol at lo and at most tol at hi; hi starts at
+    h_1 + ln(sum of its weights / tol) / a_min and doubles its distance from
+    h_1 until that holds.  Newton's method on the log of the estimate runs
+    inside the bracket, and a step that leaves it bisects instead.  Raises
+    DomainError unless L_z > (M+1)H (`elc_gap`).
     """
     w, a, h_1 = _elc_terms(scale, geometry, L_z)
     b = 1.0 / a
     log_c = np.log(w / h_1) + h_1 * a  # the estimate is sum c (h + b) e^{-h a}
     log_tol = math.log(max(tol, sys.float_info.min))
-    h = h_1 + max(math.log(w.sum()) - log_tol, 0.0) / a.min()
-    for _ in range(100):
+
+    def excess(h):
+        """ln(estimate) - ln(tol) at h, and its derivative."""
         x = log_c + np.log(h + b) - h * a
         top = x.max()
         t = np.exp(x - top)  # the terms, over e^top
         sum_t = t.sum()
-        # Newton on ln(estimate) - ln(tol); a term's derivative is -t a h / (h + b)
-        slope = h * float(t @ (a / (h + b)))
-        h, prev = max(h + (top + math.log(sum_t) - log_tol) * sum_t / slope, h_1), h
+        # a term's derivative is -t a h / (h + b)
+        return top + math.log(sum_t) - log_tol, -h * float(t @ (a / (h + b))) / sum_t
+
+    if excess(h_1)[0] <= 0.0:
+        return ELC_FIRST_SHELL_MARGIN * h_1
+    lo, width = h_1, max(math.log(w.sum()) - log_tol, 1.0) / a.min()
+    while excess(h_1 + width)[0] > 0.0:
+        lo, width = h_1 + width, 2.0 * width
+    hi = h = h_1 + width
+    for _ in range(200):
+        val, slope = excess(h)
+        if val > 0.0:
+            lo = h
+        else:
+            hi = h
+        step = h - val / slope
+        h, prev = (step if lo < step <= hi else 0.5 * (lo + hi)), h
         if abs(h - prev) <= 1e-12 * h:
             break
     return max(h, ELC_FIRST_SHELL_MARGIN * h_1)

@@ -3,8 +3,10 @@
 The quasi-2D Fourier part is rewritten as a standard 3D reciprocal sum over the
 padded cell (L_x, L_y, L_z) against image-aware structure factors, plus a
 k=0-mode (YB) term and an inter-replica coupling (ELC) term, each independently
-switchable.  The real-space and self terms are shared with the reference solver;
-real space stops at image level floor(r_c/H)+1, as no later level is within r_c.
+switchable.  The self term is shared with the reference solver.  Real space is
+ewald3d's own: it stops at image level floor(r_c/H)+1, as no later level is
+within r_c, and evaluates erfc only on the pairs within r_c, where ewald2d's
+reference evaluates every dense entry.
 
 Every term reads the image series from one per-level table,
 `core.image_levels` (scale and z offset per level and plus/minus side), with no
@@ -26,18 +28,78 @@ import functools
 import math
 
 import numpy as np
+from scipy.special import erfc
 
 from .core import (ChargeSystem, CorrectionFlags, DielectricSpec, DomainError,
                    EnergyForces, EwaldParams, LevelSweep, check_solvable, elc_offsets,
                    image_levels, real_space_reach)
 from .errors import elc_cutoff, elc_gap, splitting_error
-from .ewald2d import (_half_plane_hvectors, _real_space_levels, build_image_table,
-                      self_energy)
+from .ewald2d import SQRT_PI, _half_plane_hvectors, build_image_table, self_energy
 
 # the fixed term floor of `elc_h_cutoff`; the solve cuts ELC at `errors.elc_cutoff`
 ELC_TERM_FLOOR = 1e-18
 # complex elements per chunk of modes: bounds the temporaries of the contractions
 CHUNK_ELEMENTS = 1 << 15
+
+
+def _real_space_pairs(system: ChargeSystem, table, params: EwaldParams,
+                      compute_forces: bool):
+    """Per-level real-space energies and forces, evaluated on the pairs within r_c.
+
+    The (target i, block k, source j) separations of `table` (an
+    `ewald2d.ImageTable`) are formed once per xy replica, with xy wrapped into
+    the primary cell; erfc and the force factor are evaluated only on the hits
+    r <= r_c, without the self pairs (block 0, i == j, in the primary cell).
+    The hits are reduced per (level, target) and per (level, source) by
+    `np.bincount` over level[k] N + i (or + j); a source's z-force carries its
+    block's z-parity.  Each level's energy sums its N per-target rows pairwise.
+    Returns (energies, forces) per level 0..n_levels-1, not cumulative; forces
+    is None without compute_forces.
+    """
+    n, levels = system.n, table.n_levels
+    alpha, r_c = params.alpha, params.r_c
+    pos, q = system.positions, system.charges
+    dx0 = pos[:, None, 0] - pos[:, 0]
+    dy0 = pos[:, None, 1] - pos[:, 1]
+    dx0 = dx0 - system.lx * np.round(dx0 / system.lx)
+    dy0 = dy0 - system.ly * np.round(dy0 / system.ly)
+    dz = pos[:, None, None, 2] - table.z  # (N, K, N)
+    dz2 = dz * dz
+    _, mx_max, my_max = real_space_reach(r_c, system.cell)
+    diag = np.arange(n)
+    kn = dz.shape[1] * n
+
+    e_rows = np.zeros(levels * n)
+    f_rows = np.zeros((levels * n, 3)) if compute_forces else None
+    for mx in range(-mx_max, mx_max + 1):
+        for my in range(-my_max, my_max + 1):
+            dx = dx0 + mx * system.lx
+            dy = dy0 + my * system.ly
+            r2 = (dx * dx + dy * dy)[:, None, :] + dz2
+            hit = r2 <= r_c * r_c
+            if mx == 0 and my == 0:
+                hit[diag, 0, diag] = False
+            flat = np.flatnonzero(hit)  # (i K + k) N + j
+            i, kj = np.divmod(flat, kn)
+            k, j = np.divmod(kj, n)
+            r2 = r2.take(flat)
+            r = np.sqrt(r2)
+            cq = 0.5 * q[i] * (table.weight[k] * q[j])
+            phi = erfc(alpha * r) / r
+            row_i = table.level[k] * n + i
+            e_rows += np.bincount(row_i, cq * phi, minlength=levels * n)
+            if compute_forces:
+                # d(phi)/dr / r, applied to the separation vector
+                dphi_over_r = -(phi + (2 * alpha / SQRT_PI) * np.exp(-(alpha * r) ** 2)) / r2
+                row_j = table.level[k] * n + j
+                ij = i * n + j
+                for ax, d in enumerate((dx.take(ij), dy.take(ij), dz.take(flat))):
+                    g = cq * (dphi_over_r * d)
+                    src = g * table.parity[k] if ax == 2 else g
+                    f_rows[:, ax] += (np.bincount(row_j, src, minlength=levels * n)
+                                      - np.bincount(row_i, g, minlength=levels * n))
+    energies = e_rows.reshape(levels, n).sum(axis=1)
+    return energies, (f_rows.reshape(levels, n, 3) if compute_forces else None)
 
 
 def _level_structure_factors(spec: DielectricSpec, M: int, kz: np.ndarray, H: float):
@@ -299,7 +361,7 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
     # no pair past level m_real lies within r_c: its rows are 0
     m_real = min(params.M, real_space_reach(params.r_c, system.cell)[0])
     table = build_image_table(system, spec, m_real)
-    e_real, f_real = _real_space_levels(system, table, params, compute_forces)
+    e_real, f_real = _real_space_pairs(system, table, params, compute_forces)
     e_four, f_four = _fourier3d_core(system, spec, params, compute_forces)
     upto = np.minimum(np.arange(params.M + 1), m_real)  # repeats level m_real above it
     energies = {"real": np.cumsum(e_real)[upto], "fourier3d": e_four,

@@ -5,10 +5,10 @@ the padded box height, and the splitting parameters (s, alpha, r_c, k_c), each
 by inverting the corresponding closed-form error estimate.
 
 At fixed s the split is a choice of r_c = s/alpha, and it trades real-space
-against reciprocal work.  The dense real-space sum depends on r_c only through
-`core.real_space_reach` (its image-level cap and replica rings): its arrays,
-and the erfc evaluated on every entry, are the same for every r_c up to that
-reach's next step edge.  Inside the step a larger r_c only lowers
+against reciprocal work.  The real-space distance arrays depend on r_c only
+through `core.real_space_reach` (its image-level cap and replica rings): they
+are the same for every r_c up to that reach's next step edge, and only the
+pairs within r_c, where erfc runs, grow inside the step.  A larger r_c lowers
 k_c = 2 s^2 / r_c, and the reciprocal mode count with it (as k_c^3), so the
 default policy takes the top of the step that min(L_x, L_y)/4 falls in.
 Choosing a different step would need N and calibrated per-term costs.
@@ -110,8 +110,8 @@ def default_alpha_policy(req: ToleranceRequest, s: float) -> float:
 
     r_0 = min(L_x, L_y)/4 picks the step: every cutoff from r_0 up to
     `core.real_space_step_edge` builds the same real-space table and replica
-    rings, so the largest of them adds no real-space work and gives the fewest
-    reciprocal modes.  r_c stays strictly below the edge (by STEP_EDGE_MARGIN),
+    rings, so the largest of them adds only pairs within r_c and gives the
+    fewest reciprocal modes.  r_c stays strictly below the edge (by STEP_EDGE_MARGIN),
     because the level cap and the ring count step up at it; it is never below
     r_0.  For a 10 x 10 cell with H = 1 that is r_c = 3 (1 - 1e-9), the level
     edge, where r_0 = 2.5.

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slabwald.core import (CorrectionFlags, DielectricSpec, DomainError, EwaldParams,
@@ -216,6 +216,10 @@ def test_elc_truncation_hand_sum():
 @given(gu=st.floats(-1.0, 1.0), gd=st.floats(-1.0, 1.0), m=st.integers(0, 40),
        gap=st.floats(1e-3, 50.0), lx=st.floats(0.5, 50.0), aspect=st.floats(0.2, 5.0),
        s=st.floats(0.5, 8.0))
+# elongated cells, where plain Newton stepped below h_1 and cycled between two points
+@example(gu=0.0625, gd=0.0625, m=17, gap=0.001, lx=6.0, aspect=5.0, s=5.0)
+@example(gu=0.0625, gd=0.0625, m=13, gap=1.0, lx=10.0, aspect=5.0, s=5.0)
+@example(gu=0.125, gd=0.125, m=6, gap=1.0, lx=13.0, aspect=5.0, s=2.0)
 def test_elc_cutoff_inverts_the_force_estimate(gu, gd, m, gap, lx, aspect, s):
     """The cutoff is where the force estimate reaches tol, or the first shell.
 

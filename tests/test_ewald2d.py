@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from loop_oracles import (fourier_levels_unpruned, half_plane_hvectors_loop,
                           spectral_image_energy)
-from slabwald import ewald2d
+from slabwald import ewald2d, ewald3d
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
                            check_solvable)
 from slabwald.ewald2d import (_fourier_levels, _half_plane_hvectors, _real_space_levels,
@@ -130,15 +130,15 @@ def test_build_image_table_structure(pair_system):
 
 def test_real_space_counts_replica_pairs_at_exactly_r_c():
     """Charges L/2 apart in x sit at exactly r_c = L/2 from each other both in
-    the primary cell and in one x-replica; every such pair counts."""
+    the primary cell and in one x-replica; every such pair counts, in the dense
+    sum and in ewald3d's pair list."""
     lx = 4.0
     params = EwaldParams(alpha=1.5, s=3.0, L_z=2.0, M=0)
     assert params.r_c == 2.0
     pos = np.array([[1.0, 2.0, 0.5], [3.0, 2.0, 0.5]])
     q = np.array([1.0, -1.0])
     system = ChargeSystem(pos, q, (lx, lx, 1.0))
-    e, f = _real_space_levels(system, build_image_table(system, DielectricSpec(0.0, 0.0), 0),
-                              params, True)
+    table = build_image_table(system, DielectricSpec(0.0, 0.0), 0)
     want = 0.0
     for i in range(2):
         for j in range(2):
@@ -148,8 +148,10 @@ def test_real_space_counts_replica_pairs_at_exactly_r_c():
                     if 0 < r <= params.r_c:
                         want += 0.5 * q[i] * q[j] * math.erfc(params.alpha * r) / r
     assert want == pytest.approx(-math.erfc(3.0), rel=1e-15)  # four ordered pairs
-    assert e[0] == pytest.approx(want, rel=1e-15)
-    np.testing.assert_array_equal(f[0], 0.0)  # the two replicas pull in opposite directions
+    for real_space in (_real_space_levels, ewald3d._real_space_pairs):
+        e, f = real_space(system, table, params, True)
+        assert e[0] == pytest.approx(want, rel=1e-15)
+        np.testing.assert_array_equal(f[0], 0.0)  # the two replicas pull in opposite directions
 
 
 def test_alpha_independence_homogeneous(small_system):

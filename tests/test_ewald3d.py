@@ -1,6 +1,8 @@
 """Padded-box solver: reciprocal sum, YB and ELC corrections, cross-solver identity."""
 
+import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -553,13 +555,48 @@ def cutoff_cases(draw):
     return system, spec, EwaldParams(alpha, float(s[0]), (m + 2) * h, m)
 
 
+def _real_space_scales(system, table, params):
+    """Rounding scales of a real-space sum: the magnitudes of its summed terms.
+
+    The energy scale is the dense reference on the same table with every
+    charge and image weight made positive, so that no term cancels.  A force
+    term is a pair energy term times (dphi/dr)/phi along a unit vector, with
+    |dphi/dr| < phi (1/r + 2 alpha^2 r + sqrt(2) alpha) by
+    erfc(x) > 2 e^{-x^2} / (sqrt(pi) (x + sqrt(x^2 + 2))); it enters a target
+    row and a source row.  So twice the energy scale times that factor at the
+    nearest pair and at r_c bounds the summed magnitude of the force terms.
+    """
+    positive = ChargeSystem(system.positions, np.abs(system.charges), system.cell)
+    abs_table = dataclasses.replace(table, weight=np.abs(table.weight))
+    e_abs = float(_real_space_levels(positive, abs_table, params, False)[0].sum())
+    pos = system.positions
+    d = pos[:, None, :2] - pos[:, :2]
+    d -= np.array(system.cell[:2]) * np.round(d / system.cell[:2])
+    r2 = (d * d).sum(axis=2)[:, None, :] + (pos[:, None, None, 2] - table.z) ** 2
+    r2[np.arange(system.n), 0, np.arange(system.n)] = np.inf  # the self pairs
+    alpha = params.alpha
+    factor = 1.0 / math.sqrt(r2.min()) + 2.0 * alpha * alpha * params.r_c + math.sqrt(2.0) * alpha
+    return e_abs, 2.0 * e_abs * factor
+
+
+def _assert_real_space_matches_dense(system, table, params, e, f):
+    """`ewald3d._real_space_pairs`' per-level results against ewald2d's dense sum."""
+    e_ref, f_ref = _real_space_levels(system, table, params, True)
+    e_scale, f_scale = _real_space_scales(system, table, params)
+    assert np.abs(e - e_ref).max() <= 1e-14 * e_scale
+    assert np.abs(f - f_ref).max() <= 1e-14 * f_scale
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=cutoff_cases())
 def test_real_space_stops_at_cutoff_level_bit_for_bit(case):
     """The real-space table stops at level floor(r_c/H)+1; every level 0..M is unchanged.
 
     The reciprocal sum is replaced by zeros and YB and ELC are off, so the
-    sweep's forces are the real-space forces alone.
+    sweep's forces are the real-space forces alone.  On the full M-level
+    table the extra blocks hold no pair within r_c, so ewald3d's real space
+    gives the capped sweep bit for bit; it matches ewald2d's dense sum to
+    rounding.
     """
     system, spec, params = case
     built = []
@@ -575,9 +612,79 @@ def test_real_space_stops_at_cutoff_level_bit_for_bit(case):
             mock.patch.object(ewald3d, "_fourier3d_core", no_fourier):
         sweep = solve_levels(system, spec, params, CorrectionFlags(False, False))
     assert built == [min(params.M, math.floor(params.r_c / system.height) + 1)]
-    e, f = _real_space_levels(system, build_image_table(system, spec, params.M), params, True)
+    full = build_image_table(system, spec, params.M)
+    e, f = ewald3d._real_space_pairs(system, full, params, True)
     np.testing.assert_array_equal(sweep.term_energies["real"], np.cumsum(e))
     np.testing.assert_array_equal(sweep.forces, np.cumsum(f, axis=0))
+    _assert_real_space_matches_dense(system, full, params, e, f)
+
+
+@st.composite
+def replica_ring_cases(draw):
+    """A random neutral system whose cutoff reaches past the primary cell.
+
+    N = 2..6 charges, each at z in (0.05, 0.95)H or 1e-3 H or 1e-9 H from a
+    wall; gamma_u and gamma_d with exactly 0 and +-1 among them, so that some
+    levels have no block; r_c from min(L_x, L_y)/2 to 1.5 max(L_x, L_y), so
+    that xy replica rings are summed and one (i, k, j) can lie within r_c in
+    two replicas; the table holds levels 0..M, M = 0..8.
+    """
+    n = draw(st.integers(2, 6))
+    lx, ly = draw(st.floats(2.0, 4.0)), draw(st.floats(2.0, 4.0))
+    h = draw(st.floats(0.8, 1.5))
+    unit = st.floats(0.0, 1.0)
+    z = st.one_of(unit.map(lambda u: 0.05 + 0.9 * u),
+                  st.sampled_from([1e-3, 1.0 - 1e-3, 1e-9, 1.0 - 1e-9]))
+    pos = np.array([[draw(unit) * lx, draw(unit) * ly, draw(z) * h] for _ in range(n)])
+    q = np.array([draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
+                  for _ in range(n - 1)])
+    system = ChargeSystem(pos, np.append(q, -q.sum()), (lx, ly, h))
+    gamma = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+    spec = DielectricSpec(draw(gamma), draw(gamma))
+    try:
+        check_solvable(system, spec)
+    except DomainError:  # hypothesis can draw two charges at one point
+        assume(False)
+    r_c = draw(st.floats(min(lx, ly) / 2, 1.5 * max(lx, ly)))
+    alpha = draw(st.floats(0.5, 3.0))
+    m = draw(st.integers(0, 8))
+    return system, spec, EwaldParams(alpha, r_c * alpha, (m + 2) * h, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=replica_ring_cases())
+def test_real_space_pairs_match_dense_reference(case):
+    """ewald3d's pair-list real space against ewald2d's dense sum, level by level.
+
+    The energy-only path gives the same energies bit for bit and no forces.
+    """
+    system, spec, params = case
+    table = build_image_table(system, spec, params.M)
+    e, f = ewald3d._real_space_pairs(system, table, params, True)
+    _assert_real_space_matches_dense(system, table, params, e, f)
+    e_only, no_f = ewald3d._real_space_pairs(system, table, params, False)
+    assert no_f is None
+    np.testing.assert_array_equal(e_only, e)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.8])
+def test_real_space_pairs_without_a_pair_within_cutoff_are_zero(gamma):
+    """Two charges 3 apart, each 1 from its own images, with r_c = 0.4: no hit.
+
+    Every level's energy and force is exactly 0, with or without forces, and
+    no numpy warning is raised for the empty pair list.
+    """
+    system = ChargeSystem(np.array([[2.0, 5.0, 0.5], [5.0, 5.0, 0.5]]),
+                          np.array([1.0, -1.0]), (10.0, 10.0, 1.0))
+    params = EwaldParams(alpha=5.0, s=2.0, L_z=4.0, M=2)
+    table = build_image_table(system, DielectricSpec(gamma, gamma), params.M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e, f = ewald3d._real_space_pairs(system, table, params, True)
+        e_only, _ = ewald3d._real_space_pairs(system, table, params, False)
+    np.testing.assert_array_equal(e, np.zeros(3))
+    np.testing.assert_array_equal(e_only, np.zeros(3))
+    np.testing.assert_array_equal(f, np.zeros((3, 2, 3)))
 
 
 def test_elc_mode_grid_is_bounded_before_allocation(small_system, monkeypatch):
