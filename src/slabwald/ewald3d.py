@@ -6,7 +6,8 @@ k=0-mode (YB) term and an inter-replica coupling (ELC) term, each independently
 switchable.  The self term is shared with the reference solver.  Real space is
 ewald3d's own: it stops at image level floor(r_c/H)+1, as no later level is
 within r_c, and evaluates erfc only on the pairs within r_c, where ewald2d's
-reference evaluates every dense entry.
+reference evaluates every dense entry.  It forms the distances for a block of
+targets at a time, so its temporaries stay within CHUNK_ELEMENTS entries.
 
 Every term reads the image series from one per-level table,
 `core.image_levels` (scale and z offset per level and plus/minus side), with no
@@ -20,12 +21,19 @@ The reciprocal sum orders its in-plane blocks by |h| and trims each chunk's k_z.
 Each chunk costs one structure-factor product and one force product: with
 coefficients even in k_z, lambda and the force sums' lambda half are read off
 the k_z mirror of rho and of the force sums' rho half.
+
+A run of solves at fixed parameters builds what depends only on them once: a
+small cache of `_mode_plan`s, keyed by the cell, the walls, the parameters,
+N and CHUNK_ELEMENTS, holds the k_z grid, the level structure factors, the
+chunks with their coefficients, and ELC's certified cutoff.  `solve`,
+`solve_levels` and `fourier3d_energy` share it; its arrays are read-only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -38,7 +46,8 @@ from .ewald2d import SQRT_PI, _half_plane_hvectors, build_image_table, self_ener
 
 # the fixed term floor of `elc_h_cutoff`; the solve cuts ELC at `errors.elc_cutoff`
 ELC_TERM_FLOOR = 1e-18
-# complex elements per chunk of modes: bounds the temporaries of the contractions
+# elements per chunk of modes, or per block of real-space targets: bounds the
+# temporaries of the contractions and of the pair search
 CHUNK_ELEMENTS = 1 << 15
 
 
@@ -47,12 +56,15 @@ def _real_space_pairs(system: ChargeSystem, table, params: EwaldParams,
     """Per-level real-space energies and forces, evaluated on the pairs within r_c.
 
     The (target i, block k, source j) separations of `table` (an
-    `ewald2d.ImageTable`) are formed once per xy replica, with xy wrapped into
-    the primary cell; erfc and the force factor are evaluated only on the hits
-    r <= r_c, without the self pairs (block 0, i == j, in the primary cell).
-    The hits are reduced per (level, target) and per (level, source) by
-    `np.bincount` over level[k] N + i (or + j); a source's z-force carries its
-    block's z-parity.  Each level's energy sums its N per-target rows pairwise.
+    `ewald2d.ImageTable`) are formed for blocks of targets, c at a time with
+    c K N <= CHUNK_ELEMENTS (at least one target), and within a block once per
+    xy replica, with xy wrapped into the primary cell; erfc and the force
+    factor are evaluated only on the hits r <= r_c, without the self pairs
+    (block 0, i == j, in the primary cell).  The hits are reduced per
+    (level, target) and per (level, source) by `np.bincount` over
+    level[k] N + i (or + j); a source's z-force carries its block's z-parity.
+    A (level, target) row takes its replicas in the same order whatever the
+    block size, and each level's energy sums its N per-target rows pairwise.
     Returns (energies, forces) per level 0..n_levels-1, not cumulative; forces
     is None without compute_forces.
     """
@@ -63,41 +75,45 @@ def _real_space_pairs(system: ChargeSystem, table, params: EwaldParams,
     dy0 = pos[:, None, 1] - pos[:, 1]
     dx0 = dx0 - system.lx * np.round(dx0 / system.lx)
     dy0 = dy0 - system.ly * np.round(dy0 / system.ly)
-    dz = pos[:, None, None, 2] - table.z  # (N, K, N)
-    dz2 = dz * dz
     _, mx_max, my_max = real_space_reach(r_c, system.cell)
-    diag = np.arange(n)
-    kn = dz.shape[1] * n
+    kn = table.z.shape[0] * n
+    width = max(1, CHUNK_ELEMENTS // kn)  # targets per block
 
     e_rows = np.zeros(levels * n)
     f_rows = np.zeros((levels * n, 3)) if compute_forces else None
-    for mx in range(-mx_max, mx_max + 1):
-        for my in range(-my_max, my_max + 1):
-            dx = dx0 + mx * system.lx
-            dy = dy0 + my * system.ly
-            r2 = (dx * dx + dy * dy)[:, None, :] + dz2
-            hit = r2 <= r_c * r_c
-            if mx == 0 and my == 0:
-                hit[diag, 0, diag] = False
-            flat = np.flatnonzero(hit)  # (i K + k) N + j
-            i, kj = np.divmod(flat, kn)
-            k, j = np.divmod(kj, n)
-            r2 = r2.take(flat)
-            r = np.sqrt(r2)
-            cq = 0.5 * q[i] * (table.weight[k] * q[j])
-            phi = erfc(alpha * r) / r
-            row_i = table.level[k] * n + i
-            e_rows += np.bincount(row_i, cq * phi, minlength=levels * n)
-            if compute_forces:
-                # d(phi)/dr / r, applied to the separation vector
-                dphi_over_r = -(phi + (2 * alpha / SQRT_PI) * np.exp(-(alpha * r) ** 2)) / r2
-                row_j = table.level[k] * n + j
-                ij = i * n + j
-                for ax, d in enumerate((dx.take(ij), dy.take(ij), dz.take(flat))):
-                    g = cq * (dphi_over_r * d)
-                    src = g * table.parity[k] if ax == 2 else g
-                    f_rows[:, ax] += (np.bincount(row_j, src, minlength=levels * n)
-                                      - np.bincount(row_i, g, minlength=levels * n))
+    for i0 in range(0, n, width):
+        blk = slice(i0, i0 + width)
+        dz = pos[blk, None, None, 2] - table.z  # (c, K, N)
+        dz2 = dz * dz
+        for mx in range(-mx_max, mx_max + 1):
+            for my in range(-my_max, my_max + 1):
+                dx = dx0[blk] + mx * system.lx  # (c, N)
+                dy = dy0[blk] + my * system.ly
+                r2 = (dx * dx + dy * dy)[:, None, :] + dz2
+                hit = r2 <= r_c * r_c
+                if mx == 0 and my == 0:
+                    own = np.arange(len(dx))
+                    hit[own, 0, own + i0] = False
+                flat = np.flatnonzero(hit)  # ((i - i0) K + k) N + j
+                ib, kj = np.divmod(flat, kn)
+                k, j = np.divmod(kj, n)
+                i = ib + i0
+                r2 = r2.take(flat)
+                r = np.sqrt(r2)
+                cq = 0.5 * q[i] * (table.weight[k] * q[j])
+                phi = erfc(alpha * r) / r
+                row_i = table.level[k] * n + i
+                e_rows += np.bincount(row_i, cq * phi, minlength=levels * n)
+                if compute_forces:
+                    # d(phi)/dr / r, applied to the separation vector
+                    dphi_over_r = -(phi + (2 * alpha / SQRT_PI) * np.exp(-(alpha * r) ** 2)) / r2
+                    row_j = table.level[k] * n + j
+                    ij = ib * n + j
+                    for ax, d in enumerate((dx.take(ij), dy.take(ij), dz.take(flat))):
+                        g = cq * (dphi_over_r * d)
+                        src = g * table.parity[k] if ax == 2 else g
+                        f_rows[:, ax] += (np.bincount(row_j, src, minlength=levels * n)
+                                          - np.bincount(row_i, g, minlength=levels * n))
     energies = e_rows.reshape(levels, n).sum(axis=1)
     return energies, (f_rows.reshape(levels, n, 3) if compute_forces else None)
 
@@ -119,36 +135,76 @@ def _level_structure_factors(spec: DielectricSpec, M: int, kz: np.ndarray, H: fl
     return sa, sb
 
 
-def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-                    compute_forces: bool):
-    """k != 0 reciprocal-space sum; returns cumulative per-level (energies, forces).
+@dataclass(frozen=True, eq=False)
+class _Chunk:
+    """One chunk of in-plane blocks of the reciprocal sum, and its k_z window."""
 
-    Modes are enumerated as in-plane blocks (one of each +-h pair) times the
-    k_z column |k| <= k_c allows; the h = 0 block carries both signs of k_z at
-    half weight (its two halves are conjugates), so every coefficient is even
-    in k_z.  A chunk of blocks costs one product for its structure factors,
-    rho = (q XY) @ ez^T with XY read from per-axis phase tables, and
-    lambda(h, k_z) = conj(rho(h, -k_z)) is rho reversed along the chunk's
-    symmetric k_z window.  The force sums t_a = (coef conj(rho))^T @ XY are one
-    more product per chunk; their lambda half is t_a's k_z mirror plus its
-    conjugate, and both halves meet ez once at the end.
+    zs: slice         # the window, symmetric about k_z = 0, of the widest column
+    ix: np.ndarray    # (B,) row of each block in the x phase table
+    iy: np.ndarray    # (B,) row of each block in the y phase table
+    h: np.ndarray     # (B, 2) the blocks' in-plane vectors
+    coef: np.ndarray  # (B, window // 2 + 1) the k_z >= 0 half of the coefficients
+
+
+@dataclass(frozen=True, eq=False)
+class _Reciprocal:
+    """The position-independent part of the reciprocal sum at one parameter set."""
+
+    kz: np.ndarray       # (NZ,) the k_z grid, symmetric about 0
+    sa: np.ndarray       # (M+1, NZ) `_level_structure_factors`
+    sb: np.ndarray
+    mx_max: int          # the x phase table holds m_x = 0..mx_max
+    my_max: int          # the y phase table holds m_y = -my_max..my_max
+    chunks: tuple[_Chunk, ...]
+
+
+class _ModePlan:
+    """What the solve needs of one parameter set, whatever the positions.
+
+    A trajectory or a series of trial moves solves thousands of times at the
+    parameters the tuner chose once.  Each part is built on first use, so a
+    solve with ELC off never asks for ELC's cutoff, nor an ELC-only call for
+    the reciprocal modes; a plan is shared by every solve at its key, and
+    every array it holds is read-only.
     """
-    lx, ly, H = system.cell
-    lz = params.L_z
-    if lz < H:
-        raise DomainError("padded height L_z must be at least the slab height H")
-    alpha, k_c = params.alpha, params.k_c
-    vol = lx * ly * lz
-    pos = system.positions
-    q = system.charges
-    n = system.n
 
+    def __init__(self, cell: tuple[float, float, float], spec: DielectricSpec,
+                 params: EwaldParams, n: int, chunk_elements: int):
+        self._key = (cell, spec, params, n, chunk_elements)
+
+    @functools.cached_property
+    def elc_h_max(self) -> float:
+        """`errors.elc_cutoff` at splitting_error(s); its root search would cost
+        about a tenth of a small solve.  Raises DomainError unless L_z > (M+1)H."""
+        cell, spec, params = self._key[:3]
+        return elc_cutoff(splitting_error(params.s), image_levels(spec, params.M, cell[2])[0],
+                          cell, params.L_z)
+
+    @functools.cached_property
+    def reciprocal(self) -> _Reciprocal:
+        return _reciprocal_plan(*self._key)
+
+
+# one plan per (cell, spec, params, N, CHUNK_ELEMENTS); a sweep over P or L_z
+# makes one-off plans, so only a few are kept
+_mode_plan = functools.lru_cache(maxsize=4)(_ModePlan)
+
+
+def _reciprocal_plan(cell: tuple[float, float, float], spec: DielectricSpec,
+                     params: EwaldParams, n: int, chunk_elements: int) -> _Reciprocal:
+    """The k_z grid, S_A and S_B, and the chunks of in-plane blocks.
+
+    The blocks are ordered by |h| (widest k_z column first, h = 0 leading)
+    and cut into chunks of at most chunk_elements complex elements, or one
+    block; each chunk evaluates only the window of its first block's column.
+    The coefficients weight e^{-k^2/4 alpha^2}/k^2, 0 where a mode is not
+    live, are even in k_z, so only their k_z >= 0 half is kept.
+    """
+    lx, ly, H = cell
+    lz, alpha, k_c = params.L_z, params.alpha, params.k_c
     nz_max = int(math.floor(k_c * lz / (2 * math.pi)))
     kz_index = np.arange(-nz_max, nz_max + 1)
     kz = 2 * math.pi * kz_index / lz
-    nzed = len(kz)
-    ez = np.exp(1j * np.outer(kz, pos[:, 2]))  # (NZ, N)
-
     sa, sb = _level_structure_factors(spec, params.M, kz, H)
 
     blocks = np.vstack([[0.0, 0.0], _half_plane_hvectors(lx, ly, k_c)])
@@ -162,8 +218,59 @@ def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldPar
     # every h lies on the 2 pi/L lattice: XY = (q ex)[m_x] ey[m_y], m_x >= 0
     m = np.rint(blocks * [lx / (2 * math.pi), ly / (2 * math.pi)]).astype(int)
     my_max = int(np.abs(m[:, 1]).max())
-    qex = q * np.exp(2j * math.pi / lx * np.outer(np.arange(m[:, 0].max() + 1), pos[:, 0]))
-    ey = np.exp(2j * math.pi / ly * np.outer(np.arange(-my_max, my_max + 1), pos[:, 1]))
+
+    chunks = []
+    lo = 0
+    while lo < len(blocks):
+        # k_z beyond the chunk's first (widest) column are dead for all its blocks
+        zs = slice(nz_max - int(dz[lo]), nz_max + int(dz[lo]) + 1)
+        hi = lo + max(1, chunk_elements // max(zs.stop - zs.start, 3 * n))
+        half = slice(nz_max, zs.stop)
+        h2 = hrho2[lo:hi, None]
+        live = (np.abs(kz_index[half]) <= dz[lo:hi, None]) & ((h2 > 0) | (kz_index[half] != 0))
+        k2 = np.where(live, h2 + kz[half] * kz[half], 1.0)
+        coef = np.where(live, weight[lo:hi, None] * np.exp(-k2 * inv4a2) / k2, 0.0)
+        chunks.append(_Chunk(zs, m[lo:hi, 0], m[lo:hi, 1] + my_max, blocks[lo:hi], coef))
+        lo = hi
+
+    arrays = [kz, sa, sb] + [a for c in chunks for a in (c.ix, c.iy, c.h, c.coef)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _Reciprocal(kz, sa, sb, int(m[:, 0].max()), my_max, tuple(chunks))
+
+
+def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
+                    compute_forces: bool):
+    """k != 0 reciprocal-space sum; returns cumulative per-level (energies, forces).
+
+    Modes are enumerated as in-plane blocks (one of each +-h pair) times the
+    k_z column |k| <= k_c allows, in the chunks of the parameters' cached
+    `_mode_plan`; the h = 0 block carries both signs of k_z at half weight
+    (its two halves are conjugates), so every coefficient is even in k_z and
+    a chunk mirrors its stored k_z >= 0 half.  A chunk of blocks costs one
+    product for its structure factors, rho = (q XY) @ ez^T with XY read from
+    per-axis phase tables, and lambda(h, k_z) = conj(rho(h, -k_z)) is rho
+    reversed along the chunk's symmetric k_z window.  The force sums
+    t_a = (coef conj(rho))^T @ XY are one more product per chunk; their lambda
+    half is t_a's k_z mirror plus its conjugate, and both halves meet ez once
+    at the end.
+    """
+    lx, ly, H = system.cell
+    lz = params.L_z
+    if lz < H:
+        raise DomainError("padded height L_z must be at least the slab height H")
+    plan = _mode_plan(system.cell, spec, params, system.n, CHUNK_ELEMENTS).reciprocal
+    kz, sa, sb = plan.kz, plan.sa, plan.sb
+    vol = lx * ly * lz
+    pos = system.positions
+    q = system.charges
+    n = system.n
+
+    nzed = len(kz)
+    ez = np.exp(1j * np.outer(kz, pos[:, 2]))  # (NZ, N)
+    qex = q * np.exp(2j * math.pi / lx * np.outer(np.arange(plan.mx_max + 1), pos[:, 0]))
+    ey = np.exp(2j * math.pi / ly * np.outer(np.arange(-plan.my_max, plan.my_max + 1),
+                                             pos[:, 1]))
 
     p_acc = np.zeros(nzed, dtype=complex)
     q_acc = np.zeros(nzed, dtype=complex)
@@ -172,24 +279,18 @@ def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldPar
         # applied last)
         t_a = np.zeros((nzed, 3 * n), dtype=complex)
 
-    lo = 0
-    while lo < len(blocks):
-        # k_z beyond the chunk's first (widest) column are dead for all its blocks
-        zs = slice(nz_max - int(dz[lo]), nz_max + int(dz[lo]) + 1)
-        hi = lo + max(1, CHUNK_ELEMENTS // max(zs.stop - zs.start, 3 * n))
-        hx, hy, h2 = blocks[lo:hi, 0:1], blocks[lo:hi, 1:2], hrho2[lo:hi, None]
-        live = (np.abs(kz_index[zs]) <= dz[lo:hi, None]) & ((h2 > 0) | (kz_index[zs] != 0))
-        k2 = np.where(live, h2 + kz[zs] * kz[zs], 1.0)
-        coef = np.where(live, weight[lo:hi, None] * np.exp(-k2 * inv4a2) / k2, 0.0)  # (B, NZ)
-        qxy = qex[m[lo:hi, 0]] * ey[m[lo:hi, 1] + my_max]  # (B, N)
+    for chunk in plan.chunks:
+        zs = chunk.zs
+        coef = np.concatenate([chunk.coef[:, :0:-1], chunk.coef], axis=1)  # (B, NZ)
+        qxy = qex[chunk.ix] * ey[chunk.iy]  # (B, N)
         rho = qxy @ ez[zs].T
         w = coef * np.conj(rho)
         p_acc[zs] += np.sum(rho * w, axis=0)
         # coef lambda = coef conj(rho(-k_z)) = w reversed in k_z, as coef is even
         q_acc[zs] += np.sum(rho * w[:, ::-1], axis=0)
         if compute_forces:
+            hx, hy = chunk.h[:, 0:1], chunk.h[:, 1:2]
             t_a[zs] += w.T @ np.hstack([hx * qxy, hy * qxy, qxy])
-        lo = hi
 
     # half-plane of in-plane modes was enumerated; mirrors contribute the
     # complex conjugate, hence the overall 2 Re(...)
@@ -272,20 +373,9 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
     cumulative levels 0..M; forces is None without compute_forces.  Raises
     DomainError unless L_z > (M+1)H (`errors.elc_gap`).
     """
-    h_max = _elc_cutoff_at(spec, params.M, system.cell, params.L_z, params.s)
+    h_max = _mode_plan(system.cell, spec, params, system.n, CHUNK_ELEMENTS).elc_h_max
     return _elc_modes(system, image_levels(spec, params.M, system.height)[0], params.L_z,
                       h_max, compute_forces)
-
-
-@functools.lru_cache(maxsize=64)
-def _elc_cutoff_at(spec: DielectricSpec, M: int, cell: tuple[float, float, float],
-                   L_z: float, s: float) -> float:
-    """`errors.elc_cutoff` at splitting_error(s), kept for repeated calls.
-
-    A run of solves at fixed parameters (trial moves, a trajectory) needs one
-    cutoff; its Newton iteration would cost about a tenth of a small solve.
-    """
-    return elc_cutoff(splitting_error(s), image_levels(spec, M, cell[2])[0], cell, L_z)
 
 
 def _elc_modes(system: ChargeSystem, scale: np.ndarray, L_z: float, h_max: float,

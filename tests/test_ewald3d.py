@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -13,12 +16,14 @@ from hypothesis import strategies as st
 from loop_oracles import elc_correction_loop, fourier3d_core_loop
 from slabwald import ewald3d
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
-                           check_solvable, image_levels, image_position, image_series)
+                           check_solvable, image_levels, image_position, image_series,
+                           real_space_reach)
 from slabwald.errors import (elc_cutoff, elc_truncation_energy, elc_truncation_force,
                              splitting_error, trapezoid_remainder_estimate)
 from slabwald.ewald2d import (_half_plane_hvectors, _real_space_levels, build_image_table,
                               energy_icm, forces_fd_check)
 from slabwald.harness import gen_system
+from slabwald.tuner import ToleranceRequest, select_all
 from slabwald.ewald3d import (CorrectionFlags, elc_correction, elc_h_cutoff,
                               fourier3d_energy, solve, solve_levels, yb_correction)
 
@@ -380,6 +385,102 @@ def test_reciprocal_sum_is_independent_of_chunk_size(small_system, g, monkeypatc
             assert np.abs(got - ref).max() <= 1e-14 * _term_scale(ref)
 
 
+def test_mode_plan_follows_a_patched_chunk_budget(small_system, monkeypatch):
+    """A budget patched after a call at the default one gets a plan of its own."""
+    spec = DielectricSpec(0.6, 0.6)
+    params = EwaldParams(alpha=0.8, s=6.0, L_z=14.0, M=6)
+    default = ewald3d.CHUNK_ELEMENTS
+    ewald3d._mode_plan.cache_clear()
+    e_one, _ = ewald3d._fourier3d_core(small_system, spec, params, True)
+    monkeypatch.setattr(ewald3d, "CHUNK_ELEMENTS", 64)
+    e_many, _ = ewald3d._fourier3d_core(small_system, spec, params, True)
+    assert ewald3d._mode_plan.cache_info().misses == 2
+    key = (small_system.cell, spec, params, small_system.n)
+    one = ewald3d._mode_plan(*key, default).reciprocal.chunks
+    many = ewald3d._mode_plan(*key, 64).reciprocal.chunks
+    assert len(one) < len(many)
+    assert np.abs(e_many - e_one).max() <= 1e-14 * _term_scale(e_one)
+
+
+@pytest.mark.parametrize("field", ["alpha", "s", "L_z", "M", "spec", "cell"])
+def test_mode_plan_of_one_parameter_set_is_not_reused_for_another(small_system, field):
+    """A solve after one at other parameters matches a solve with no plan cached, bit for bit."""
+    spec = DielectricSpec(0.6, 0.6)
+    params = EwaldParams(alpha=0.8, s=6.0, L_z=14.0, M=6)
+    lx, ly, h = small_system.cell
+    wider = ChargeSystem(small_system.positions * [1.1, 1.0, 1.0], small_system.charges,
+                         (1.1 * lx, ly, h))
+    case = {"alpha": (small_system, spec, dataclasses.replace(params, alpha=0.72)),
+            "s": (small_system, spec, dataclasses.replace(params, s=5.4)),
+            "L_z": (small_system, spec, dataclasses.replace(params, L_z=15.0)),
+            "M": (small_system, spec, dataclasses.replace(params, M=5)),
+            "spec": (small_system, DielectricSpec(-0.5, 0.3), params),
+            "cell": (wider, spec, params)}[field]
+    ewald3d._mode_plan.cache_clear()
+    cold = solve(*case)
+    ewald3d._mode_plan.cache_clear()
+    solve(small_system, spec, params)
+    warm = solve(*case)
+    assert warm.energy == cold.energy and warm.breakdown == cold.breakdown
+    np.testing.assert_array_equal(warm.forces, cold.forces)
+
+
+def test_mode_plan_is_read_only_and_bounded(small_system):
+    spec = DielectricSpec(0.6, 0.6)
+    params = EwaldParams(alpha=0.8, s=6.0, L_z=14.0, M=6)
+    solve(small_system, spec, params)
+    plan = ewald3d._mode_plan(small_system.cell, spec, params, small_system.n,
+                              ewald3d.CHUNK_ELEMENTS)
+    h_max = elc_cutoff(splitting_error(params.s), image_levels(spec, params.M, 1.0)[0],
+                       small_system.cell, params.L_z)
+    assert plan.elc_h_max == h_max
+    rec = plan.reciprocal
+    arrays = [rec.kz, rec.sa, rec.sb] + [getattr(c, f.name) for c in rec.chunks
+                                        for f in dataclasses.fields(c) if f.name != "zs"]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+    assert ewald3d._mode_plan.cache_info().maxsize <= 8
+
+
+def test_threads_share_mode_plans(small_system):
+    """Threads solving at two parameter sets, with the cache cleared under them,
+    get the serial results: a shared plan holds no work buffer."""
+    spec = DielectricSpec(0.6, 0.6)
+    cases = [EwaldParams(alpha=0.8, s=6.0, L_z=14.0, M=6),
+             EwaldParams(alpha=0.9, s=6.0, L_z=15.0, M=6)]
+    want = [solve(small_system, spec, p) for p in cases]
+    failures = []
+
+    def work(k):
+        try:
+            for r in range(8):
+                if r == 4:
+                    ewald3d._mode_plan.cache_clear()
+                idx = (k + r) % 2
+                got = solve(small_system, spec, cases[idx])
+                ref = want[idx]
+                if not (abs(got.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+                        and np.abs(got.forces - ref.forces).max()
+                        <= 1e-12 * np.abs(ref.forces).max()):
+                    failures.append((k, r, got.energy, ref.energy))
+        except Exception as exc:  # reported by the assertion below
+            failures.append((k, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
 # (cell, alpha, s, L_z) with k_c = 2 s alpha, and whether the h = 0 block
 # runs alone in the first chunk
 RECIPROCAL_EDGES = {
@@ -685,6 +786,50 @@ def test_real_space_pairs_without_a_pair_within_cutoff_are_zero(gamma):
     np.testing.assert_array_equal(e, np.zeros(3))
     np.testing.assert_array_equal(e_only, np.zeros(3))
     np.testing.assert_array_equal(f, np.zeros((3, 2, 3)))
+
+
+def _md_dense_real_space():
+    """N = 195 between gamma = 0.6 walls at eps = 1e-8, the tuner's parameters
+    (s = 4, alpha = 1.33, M = 17) and their real-space table (levels 0..3)."""
+    geometry, spec = (10.0, 10.0, 1.0), DielectricSpec(0.6, 0.6)
+    system = gen_system(1, ((65, 2.0), (130, -1.0)), geometry)
+    params = select_all(ToleranceRequest(1e-8, geometry, spec)).params
+    table = build_image_table(system, spec, real_space_reach(params.r_c, geometry)[0])
+    return system, table, params
+
+
+@pytest.mark.parametrize("forces", [True, False])
+def test_real_space_blocks_of_targets_sum_bit_for_bit(monkeypatch, forces):
+    """Energies are bit-identical whatever the targets per block; forces agree to rounding.
+
+    One target per block, 7 (which does not divide N = 195) and the default
+    (24 at K N = 1365) against every target in one block.
+    """
+    system, table, params = _md_dense_real_space()
+    kn = table.z.shape[0] * system.n
+    assert (kn, ewald3d.CHUNK_ELEMENTS // kn) == (1365, 24)
+    monkeypatch.setattr(ewald3d, "CHUNK_ELEMENTS", kn * system.n)
+    e_ref, f_ref = ewald3d._real_space_pairs(system, table, params, forces)
+    for width in (1, 7, 24):
+        monkeypatch.setattr(ewald3d, "CHUNK_ELEMENTS", kn * width)
+        e, f = ewald3d._real_space_pairs(system, table, params, forces)
+        np.testing.assert_array_equal(e, e_ref)
+        if forces:
+            assert np.abs(f - f_ref).max() <= 1e-15 * np.abs(f_ref).max()
+        else:
+            assert f is None
+
+
+def test_real_space_pairs_peak_memory_is_bounded():
+    """The md_dense real space allocates at most 4 MB at its peak, forces included."""
+    system, table, params = _md_dense_real_space()
+    tracemalloc.start()
+    try:
+        ewald3d._real_space_pairs(system, table, params, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_elc_mode_grid_is_bounded_before_allocation(small_system, monkeypatch):

@@ -208,15 +208,23 @@ def test_select_all_monotone_in_epsilon():
 
 @st.composite
 def policy_cases(draw):
-    """A cell with L_x != L_y, H in [0.1, 6], s in 1..8, and a thin or tall padding."""
+    """A cell with L_x != L_y, H in [0.1, 6], s in 1..8, and a thin or tall padding.
+
+    A thin padding lies below sqrt(ln(1/eps)) r_0/s, r_0 = min(L_x, L_y)/4, where
+    the trapezoid floor exceeds s/r_0 and so every alpha the policy can return.
+    """
     lx = draw(st.floats(4.0, 30.0))
     ly = lx * draw(st.sampled_from([0.4, 0.75, 1.3, 2.5]))
     h = draw(st.floats(0.1, 6.0))
     eps = 10.0 ** -draw(st.floats(4.0, 12.0))
+    s = draw(st.integers(1, 8))
     thin = draw(st.booleans())
-    pad = draw(st.floats(0.01, 0.3)) if thin else draw(st.floats(20.0, 100.0))
+    if thin:
+        pad = draw(st.floats(0.01, 0.99)) * math.sqrt(math.log(1.0 / eps)) * min(lx, ly) / (4 * s)
+    else:
+        pad = draw(st.floats(20.0, 100.0))
     req = ToleranceRequest(eps, (lx, ly, h), DielectricSpec(0.6, -0.4))
-    return req, draw(st.integers(1, 8)), h + pad, thin
+    return req, s, h + pad, thin
 
 
 @settings(max_examples=200, deadline=None)
