@@ -6,10 +6,11 @@ the k=0-mode and inter-replica corrections.  With both corrections switched on
 the two agree to machine precision -- switch either off to see what it pays for.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from slabwald import (CorrectionFlags, DielectricSpec, EwaldParams, energy_icm,
-                      solve)
+from slabwald import DielectricSpec, EwaldParams, energy_icm, solve
 from slabwald.harness import gen_system
 
 system = gen_system(seed=42, geometry=(10.0, 10.0, 1.0))
@@ -20,7 +21,7 @@ print(f"reference energy (doubly periodic, M=30): {ref.energy:.12f}")
 
 params = EwaldParams(alpha=0.5, s=6.0, L_z=44.0, M=30)
 for yb, elc in [(True, True), (True, False), (False, True)]:
-    res = solve(system, spec, params, CorrectionFlags(yb, elc))
+    res = solve(system, spec, replace(params, include_yb=yb, include_elc=elc))
     de = abs(res.energy - ref.energy) / abs(ref.energy)
     df = np.abs(res.forces - ref.forces).max() / np.abs(ref.forces).max()
     label = f"yb={'on ' if yb else 'off'} elc={'on ' if elc else 'off'}"

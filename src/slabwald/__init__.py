@@ -14,8 +14,8 @@ from .errors import (ErrorBudget, elc_energy_estimate, image_truncation_energy,
                      trapezoid_remainder_estimate)
 from .ewald2d import (energy_homogeneous, energy_icm, forces_fd_check,
                       g0_alpha, icm_level_sweep)
-from .ewald3d import (CorrectionFlags, elc_correction, fourier3d_energy, solve,
-                      solve_levels, yb_correction)
+from .ewald3d import (elc_correction, fourier3d_energy, solve, solve_levels,
+                      yb_correction)
 from .harness import (SweepConfig, SweepRow, fit_decay, gen_system,
                       parse_config, rows_to_csv, run_sweep)
 from .tuner import (ToleranceRequest, TuneResult, select_all, select_Lz,
@@ -33,8 +33,8 @@ __all__ = [
     "trapezoid_remainder_estimate",
     "energy_homogeneous", "energy_icm", "forces_fd_check", "g0_alpha",
     "icm_level_sweep",
-    "CorrectionFlags", "elc_correction", "fourier3d_energy", "solve",
-    "solve_levels", "yb_correction",
+    "elc_correction", "fourier3d_energy", "solve", "solve_levels",
+    "yb_correction",
     "SweepConfig", "SweepRow", "fit_decay", "gen_system", "parse_config",
     "rows_to_csv", "run_sweep",
     "ToleranceRequest", "TuneResult", "select_all", "select_Lz", "select_M",

@@ -86,36 +86,25 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _tuned_params(args, geometry, spec):
-    from .core import EwaldParams
-    from .tuner import ToleranceRequest, select_alpha, select_Lz, select_M, select_splitting
-
-    req = ToleranceRequest(args.eps, geometry, spec)
-    m = args.M if args.M is not None else select_M(req)
-    lz = args.Lz if args.Lz is not None else float(select_Lz(req, m))
-    if args.s is not None or args.alpha is not None:
-        s = args.s if args.s is not None else 6.0
-        alpha = (args.alpha if args.alpha is not None
-                 else select_alpha(req, s, lz, geometry[2], m))
-    else:
-        s, alpha, _, _ = select_splitting(req, lz, geometry[2], m)
-    return EwaldParams(alpha=alpha, s=s, L_z=lz, M=m)
-
-
 def _run_solver(args):
     import numpy as np
 
     from . import ewald2d, ewald3d
     from .core import DielectricSpec, read_system
+    from .tuner import ToleranceRequest, select_all
 
     system = read_system(args.system)
     spec = DielectricSpec(args.gamma_u, args.gamma_d)
-    params = _tuned_params(args, system.cell, spec)
-    if args.solver == "icm2d":
-        res = ewald2d.energy_icm(system, spec, params)
+    # ewald2d has no padded box, so neither correction applies to it
+    padded = args.solver == "ewald3d"
+    params = select_all(ToleranceRequest(args.eps, system.cell, spec), M=args.M,
+                        L_z=args.Lz, s=args.s, alpha=args.alpha,
+                        include_yb=padded and not args.no_yb,
+                        include_elc=padded and not args.no_elc).params
+    if padded:
+        res = ewald3d.solve(system, spec, params)
     else:
-        flags = ewald3d.CorrectionFlags(not args.no_yb, not args.no_elc)
-        res = ewald3d.solve(system, spec, params, flags)
+        res = ewald2d.energy_icm(system, spec, params)
     if not (math.isfinite(res.energy) and np.all(np.isfinite(res.forces))):
         print("numerical failure: non-finite result", file=sys.stderr)
         return None, None, 2

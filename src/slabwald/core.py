@@ -226,12 +226,15 @@ def image_position(img: ImageCharge, system: ChargeSystem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EwaldParams:
-    """Tunable parameters of the split: alpha, s with r_c = s/alpha and k_c = 2 s alpha."""
+    """A padded-box solve's configuration: the split alpha, s (r_c = s/alpha,
+    k_c = 2 s alpha), L_z, M and the YB/ELC switches; ewald2d reads alpha, s, M."""
 
     alpha: float
     s: float
     L_z: float
     M: int
+    include_yb: bool = True
+    include_elc: bool = True
 
     def __post_init__(self):
         if not (0 < self.alpha < math.inf and 0 < self.s < math.inf):
@@ -248,14 +251,6 @@ class EwaldParams:
     @property
     def k_c(self) -> float:
         return 2.0 * self.s * self.alpha
-
-
-@dataclass(frozen=True)
-class CorrectionFlags:
-    """Which corrections of the padded-box sum run: YB (k = 0 mode) and ELC."""
-
-    include_yb: bool = True
-    include_elc: bool = True
 
 
 @dataclass(frozen=True)

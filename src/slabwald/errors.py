@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CorrectionFlags, DielectricSpec, DomainError, EwaldParams,
-                   elc_offsets, image_levels)
+from .core import DielectricSpec, DomainError, EwaldParams, elc_offsets, image_levels
 
 REGIME_TOL = 1e-12
 # the ELC cutoff is at least this times the first in-plane shell, so rounding keeps it
@@ -234,9 +233,8 @@ def trapezoid_remainder_estimate(params: EwaldParams, H: float) -> float:
 
 
 def total_budget(params: EwaldParams, spec: DielectricSpec,
-                 geometry: tuple[float, float, float],
-                 flags: CorrectionFlags) -> ErrorBudget:
-    """The error budget of the padded-box solve that runs with these flags.
+                 geometry: tuple[float, float, float]) -> ErrorBudget:
+    """The error budget of the padded-box solve that runs at these parameters.
 
     With ELC on, the coupling terms elc_base and elc_image are 0 and
     elc_truncation is `elc_truncation_energy` at the solve's cutoff,
@@ -249,7 +247,7 @@ def total_budget(params: EwaldParams, spec: DielectricSpec,
     g_u = spec.gamma_u * math.exp(2.0 * math.pi * H / mx)
     g_d = spec.gamma_d * math.exp(2.0 * math.pi * H / mx)
     base = image = truncation = 0.0
-    if flags.include_elc:
+    if params.include_elc:
         scale, _ = image_levels(spec, params.M, H)
         h_max = elc_cutoff(splitting_error(params.s), scale, geometry, params.L_z)
         truncation = elc_truncation_energy(h_max, scale, geometry, params.L_z)

@@ -2,12 +2,13 @@
 
 The quasi-2D Fourier part is rewritten as a standard 3D reciprocal sum over the
 padded cell (L_x, L_y, L_z) against image-aware structure factors, plus a
-k=0-mode (YB) term and an inter-replica coupling (ELC) term, each independently
-switchable.  The self term is shared with the reference solver.  Real space is
-ewald3d's own: it stops at image level floor(r_c/H)+1, as no later level is
-within r_c, and evaluates erfc only on the pairs within r_c, where ewald2d's
-reference evaluates every dense entry.  It forms the distances for a block of
-targets at a time, so its temporaries stay within CHUNK_ELEMENTS entries.
+k=0-mode (YB) term and an inter-replica coupling (ELC) term, each switched by
+an `EwaldParams` field (include_yb, include_elc).  The self term is shared
+with the reference solver.  Real space is ewald3d's own: it stops at image
+level floor(r_c/H)+1, as no later level is within r_c, and evaluates erfc
+only on the pairs within r_c, where ewald2d's reference evaluates every dense
+entry.  It forms the distances for a block of targets at a time, so its
+temporaries stay within CHUNK_ELEMENTS entries.
 
 Every term reads the image series from one per-level table,
 `core.image_levels` (scale and z offset per level and plus/minus side), with no
@@ -38,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .core import (ChargeSystem, CorrectionFlags, DielectricSpec, DomainError,
-                   EnergyForces, EwaldParams, LevelSweep, check_solvable, elc_offsets,
-                   image_levels, real_space_reach)
+from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces, EwaldParams,
+                   LevelSweep, check_solvable, elc_offsets, image_levels, real_space_reach)
 from .errors import elc_cutoff, elc_gap, splitting_error
 from .ewald2d import SQRT_PI, _half_plane_hvectors, build_image_table, self_energy
 
@@ -437,7 +437,7 @@ def _elc_modes(system: ChargeSystem, scale: np.ndarray, L_z: float, h_max: float
 
 
 def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-           flags: CorrectionFlags, compute_forces: bool) -> LevelSweep:
+           compute_forces: bool) -> LevelSweep:
     """One padded-box evaluation, every term at every level 0..M.
 
     Raises DomainError for an input outside the solvers' contract
@@ -446,7 +446,7 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
     costlier terms.
     """
     check_solvable(system, spec)
-    if flags.include_elc:
+    if params.include_elc:
         e_elc, f_elc = elc_correction(system, spec, params, compute_forces=compute_forces)
     # no pair past level m_real lies within r_c: its rows are 0
     m_real = min(params.M, real_space_reach(params.r_c, system.cell)[0])
@@ -457,11 +457,11 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
     energies = {"real": np.cumsum(e_real)[upto], "fourier3d": e_four,
                 "self": np.full(params.M + 1, self_energy(system, params.alpha))}
     forces = [np.cumsum(f_real, axis=0)[upto], f_four] if compute_forces else []
-    if flags.include_yb:
+    if params.include_yb:
         energies["yb"], f_yb = yb_correction(system, spec, params.M, params.L_z,
                                              compute_forces=compute_forces)
         forces.append(f_yb)
-    if flags.include_elc:
+    if params.include_elc:
         energies["elc"] = e_elc
         forces.append(f_elc)
     total_f = sum(forces) if compute_forces else np.zeros((params.M + 1, system.n, 3))
@@ -469,22 +469,21 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
 
 
 def solve(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-          flags: CorrectionFlags = CorrectionFlags(),
           compute_forces: bool = True) -> EnergyForces:
-    """Full padded-box solve: real + reciprocal + self (+ YB, + ELC per flags).
+    """Full padded-box solve: real + reciprocal + self, + YB and + ELC where
+    params.include_yb and params.include_elc switch them on.
 
     Raises DomainError for an input outside `core.check_solvable`'s contract,
     and when ELC is on and L_z <= (M+1)H.
     """
-    return _terms(system, spec, params, flags, compute_forces).at(params.M)
+    return _terms(system, spec, params, compute_forces).at(params.M)
 
 
 def solve_levels(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-                 flags: CorrectionFlags = CorrectionFlags(),
                  compute_forces: bool = True) -> LevelSweep:
     """One padded-box evaluation reported at every truncation level 0..params.M.
 
     Used for sweeps over M at the cost of a single converged solve.  Raises
     DomainError as `solve` does.
     """
-    return _terms(system, spec, params, flags, compute_forces)
+    return _terms(system, spec, params, compute_forces)

@@ -215,6 +215,12 @@ def _reference_params(config) -> EwaldParams:
                        M=reference_level(config.spec, config.geometry))
 
 
+def _padded_params(config, L_z: float, M: int) -> EwaldParams:
+    return EwaldParams(alpha=config.alpha or default_alpha(config.s, config.geometry, L_z),
+                       s=config.s, L_z=L_z, M=M, include_yb=config.include_yb,
+                       include_elc=config.include_elc)
+
+
 def _measure(config, res: EnergyForces, ref: EnergyForces) -> float:
     if config.quantity == "energy":
         return abs(res.energy - ref.energy) / abs(ref.energy)
@@ -245,7 +251,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     truncation = config.sweep == "M" and config.mode == "truncation"
     if not truncation:
         ref = icm_level_sweep(system, spec, ref_params, compute_forces=want_f).at(ref_params.M)
-    flags = ewald3d.CorrectionFlags(config.include_yb, config.include_elc)
     rows: list[SweepRow] = []
 
     if config.sweep == "M":
@@ -258,9 +263,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             sweep = icm_level_sweep(system, spec, params, compute_forces=want_f)
             ref = sweep.at(ref_params.M)
         else:
-            alpha = config.alpha or default_alpha(config.s, config.geometry, lz)
-            params = EwaldParams(alpha=alpha, s=config.s, L_z=lz, M=max(grid))
-            sweep = ewald3d.solve_levels(system, spec, params, flags, compute_forces=want_f)
+            sweep = ewald3d.solve_levels(system, spec, _padded_params(config, lz, max(grid)),
+                                         compute_forces=want_f)
         per_point = (time.perf_counter() - t1) * 1000.0 / len(grid)
         for m in grid:
             rows.append(SweepRow("M", float(m), _measure(config, sweep.at(m), ref),
@@ -271,9 +275,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             lz = h + v * lx if config.sweep == "P" else float(v)
             t1 = time.perf_counter()
             try:
-                alpha = config.alpha or default_alpha(config.s, config.geometry, lz)
-                params = EwaldParams(alpha=alpha, s=config.s, L_z=lz, M=config.M)
-                res = ewald3d.solve(system, spec, params, flags,
+                res = ewald3d.solve(system, spec, _padded_params(config, lz, config.M),
                                     compute_forces=want_f)
                 rel = _measure(config, res, ref)
             except Exception:

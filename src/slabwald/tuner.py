@@ -1,8 +1,10 @@
 """Three-step parameter selection: image level M, padded height L_z, splitting.
 
 Given a tolerance, the steps pick (in order) the image-series truncation level,
-the padded box height, and the splitting parameters (s, alpha, r_c, k_c), each
-by inverting the corresponding closed-form error estimate.
+the padded box height, and the splitting (s, alpha), each by inverting the
+corresponding closed-form error estimate.  `select_all` runs the steps whose
+fields the caller does not pin, and returns the `EwaldParams` that
+`ewald3d.solve` runs, YB/ELC switches included, with that solve's budget.
 
 At fixed s the split is a choice of r_c = s/alpha, and it trades real-space
 against reciprocal work.  The real-space distance arrays depend on r_c only
@@ -20,8 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import (CorrectionFlags, DielectricSpec, DomainError, EwaldParams,
-                   real_space_step_edge)
+from .core import DielectricSpec, DomainError, EwaldParams, real_space_step_edge
 from .errors import BUDGET_TERMS, ErrorBudget, splitting_error, total_budget
 
 # relative gap kept below a real-space step edge; it dwarfs the rounding of s / alpha
@@ -122,16 +123,17 @@ def default_alpha_policy(req: ToleranceRequest, s: float) -> float:
     return s / max(r_0, edge * (1.0 - STEP_EDGE_MARGIN))
 
 
-def select_alpha(req: ToleranceRequest, s: float, L_z: float, H: float, M: int,
+def select_alpha(req: ToleranceRequest, s: float, L_z: float, M: int,
                  alpha_policy: Callable[[ToleranceRequest, float], float] | None = None
                  ) -> float:
     """alpha from the cost policy, raised if needed so the k_z-discretization
     remainder stays below epsilon: alpha >= sqrt(log(1/eps)) / a_min.
 
-    a_min = L_z - (M+1)H is the gap between the image stack and its nearest
-    z-replica: the real-space sum leaves the replicas out, and drops about
-    erfc(alpha a_min) / a_min.  Raises DomainError unless a_min > 0.
+    a_min = L_z - (M+1)H (H from req) is the gap between the image stack and its
+    nearest z-replica: the real-space sum leaves the replicas out, and drops
+    about erfc(alpha a_min) / a_min.  Raises DomainError unless a_min > 0.
     """
+    H = req.geometry[2]
     a_min = L_z - (M + 1) * H
     if a_min <= 0:
         raise DomainError(f"L_z = {L_z:g} <= (M+1)H = {(M + 1) * H:g}: no gap between "
@@ -140,14 +142,9 @@ def select_alpha(req: ToleranceRequest, s: float, L_z: float, H: float, M: int,
     return max(alpha, math.sqrt(math.log(1.0 / req.epsilon)) / a_min)
 
 
-def select_splitting(req: ToleranceRequest, L_z: float, H: float, M: int,
-                     alpha_policy: Callable[[ToleranceRequest, float], float] | None = None,
-                     continuous_s: bool = False):
-    """Step 3: splitting accuracy s and the (alpha, r_c, k_c) triple.
-
-    s is the smallest integer with e^{-s^2}/s^2 <= epsilon (or the continuous
-    bisection root when requested); alpha is `select_alpha`'s.
-    """
+def _select_s(req: ToleranceRequest, continuous_s: bool) -> float:
+    """The smallest integer s with e^{-s^2}/s^2 <= epsilon, or the continuous
+    bisection root when requested."""
     eps = req.epsilon
     if continuous_s:
         lo, hi = 1.0, 50.0
@@ -157,39 +154,56 @@ def select_splitting(req: ToleranceRequest, L_z: float, H: float, M: int,
                 lo = mid
             else:
                 hi = mid
-        s = hi
-    else:
-        s = 1
-        while splitting_error(s) > eps:
-            s += 1
-    alpha = select_alpha(req, s, L_z, H, M, alpha_policy)
-    return s, alpha, s / alpha, 2.0 * s * alpha
+        return hi
+    s = 1
+    while splitting_error(s) > eps:
+        s += 1
+    return s
+
+
+def select_splitting(req: ToleranceRequest, L_z: float, M: int,
+                     alpha_policy: Callable[[ToleranceRequest, float], float] | None = None,
+                     continuous_s: bool = False) -> tuple[float, float]:
+    """Step 3: the splitting, `_select_s`'s s and `select_alpha`'s alpha."""
+    s = _select_s(req, continuous_s)
+    return s, select_alpha(req, s, L_z, M, alpha_policy)
 
 
 @dataclass(frozen=True)
 class TuneResult:
     params: EwaldParams
-    budget: ErrorBudget
+    budget: ErrorBudget  # `total_budget` of params, switches included
     exceeded: tuple[str, ...] = field(default=())  # budget fields above epsilon
 
 
 def select_all(req: ToleranceRequest,
                alpha_policy: Callable[[ToleranceRequest, float], float] | None = None,
-               continuous_s: bool = False) -> TuneResult:
-    """Run all three steps and report the predicted budget of the default solve.
+               continuous_s: bool = False, *, M: int | None = None,
+               L_z: float | None = None, s: float | None = None,
+               alpha: float | None = None, include_yb: bool = True,
+               include_elc: bool = True) -> TuneResult:
+    """Tune the parameters that are not pinned, and report the budget of the solve.
 
-    The budget is that of `ewald3d.solve` with its default flags (YB and ELC
-    on).  Budget fields above epsilon are flagged informationally (magnitudes
-    with unit constants routinely exceed a tight tolerance by a bounded
-    constant; the achievement criterion is order-of-magnitude).
+    The keyword pins are named after the `EwaldParams` fields.  A pinned value
+    is kept as given, and only the remaining steps run, in order: M, L_z(M),
+    s, then alpha (`select_alpha`, with its a_min floor).  The budget is
+    `total_budget` of the returned params, which `ewald3d.solve` runs as they
+    are, switches included.  Budget fields above epsilon are flagged
+    informationally (magnitudes with unit constants routinely exceed a tight
+    tolerance by a bounded constant; the achievement criterion is
+    order-of-magnitude).
     """
-    L_x, L_y, H = req.geometry
-    m = select_M(req)
-    lz = select_Lz(req, m)
-    s, alpha, _, _ = select_splitting(req, lz, H, m, alpha_policy=alpha_policy,
-                                      continuous_s=continuous_s)
-    params = EwaldParams(alpha=alpha, s=s, L_z=float(lz), M=m)
-    budget = total_budget(params, req.spec, req.geometry, CorrectionFlags())
+    if M is None:
+        M = select_M(req)
+    if L_z is None:
+        L_z = select_Lz(req, M)
+    if s is None:
+        s = _select_s(req, continuous_s)
+    if alpha is None:
+        alpha = select_alpha(req, s, L_z, M, alpha_policy)
+    params = EwaldParams(alpha=alpha, s=s, L_z=float(L_z), M=M, include_yb=include_yb,
+                         include_elc=include_elc)
+    budget = total_budget(params, req.spec, req.geometry)
     exceeded = tuple(name for name in BUDGET_TERMS
                      if getattr(budget, name) > req.epsilon)
     return TuneResult(params, budget, exceeded)

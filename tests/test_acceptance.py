@@ -14,8 +14,7 @@ import conftest
 from slabwald.core import ChargeSystem, DielectricSpec, EwaldParams
 from slabwald.ewald2d import (energy_homogeneous, energy_icm, forces_fd_check,
                               icm_level_sweep)
-from slabwald.ewald3d import (CorrectionFlags, elc_correction, solve,
-                              yb_correction)
+from slabwald.ewald3d import elc_correction, solve, yb_correction
 from slabwald.harness import (SweepConfig, default_alpha, fit_decay,
                               force_rel_err, gen_system, reference_level,
                               run_sweep)

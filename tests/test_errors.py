@@ -1,5 +1,6 @@
 """Closed-form error estimators: hand-substituted values and structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slabwald.core import (CorrectionFlags, DielectricSpec, DomainError, EwaldParams,
-                           image_levels)
+from slabwald.core import DielectricSpec, DomainError, EwaldParams, image_levels
 from slabwald.errors import (ELC_FIRST_SHELL_MARGIN, ErrorBudget, classify_regime,
                              elc_cutoff, elc_energy_estimate, elc_truncation_energy,
                              elc_truncation_force, half_levels, image_truncation_energy,
@@ -170,7 +170,7 @@ def test_total_budget_assembly():
     params = EwaldParams(alpha=0.72, s=4.0, L_z=16.0, M=9)
     spec = DielectricSpec(0.6, 0.6)
     geometry = (10.0, 10.0, 1.0)
-    b = total_budget(params, spec, geometry, CorrectionFlags(include_elc=False))
+    b = total_budget(dataclasses.replace(params, include_elc=False), spec, geometry)
     assert b.total == pytest.approx(b.splitting + b.image_truncation + b.elc_base
                                     + b.elc_image + b.trapezoidal, rel=1e-15)
     assert b.splitting == pytest.approx(splitting_error(4.0), rel=1e-15)
@@ -180,7 +180,7 @@ def test_total_budget_assembly():
     assert b.g_u == pytest.approx(0.6 * math.exp(2 * math.pi / 10.0))
     assert b.regime == classify_regime(b.g_u, b.g_d)
     # with ELC on, the coupling is removed and ELC's own cut is estimated instead
-    on = total_budget(params, spec, geometry, CorrectionFlags())
+    on = total_budget(params, spec, geometry)
     scale = image_levels(spec, 9, 1.0)[0]
     h_max = elc_cutoff(splitting_error(4.0), scale, geometry, 16.0)
     assert on.elc_base == on.elc_image == 0.0
@@ -189,8 +189,7 @@ def test_total_budget_assembly():
     assert on.total == pytest.approx(b.total - b.elc_base - b.elc_image
                                      + on.elc_truncation, rel=1e-13)
     with pytest.raises(DomainError, match="diverges"):
-        total_budget(EwaldParams(alpha=0.72, s=4.0, L_z=10.0, M=9), spec, geometry,
-                     CorrectionFlags())
+        total_budget(EwaldParams(alpha=0.72, s=4.0, L_z=10.0, M=9), spec, geometry)
 
 
 def test_elc_truncation_hand_sum():

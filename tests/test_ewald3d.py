@@ -24,8 +24,8 @@ from slabwald.ewald2d import (_half_plane_hvectors, _real_space_levels, build_im
                               energy_icm, forces_fd_check)
 from slabwald.harness import gen_system
 from slabwald.tuner import ToleranceRequest, select_all
-from slabwald.ewald3d import (CorrectionFlags, elc_correction, elc_h_cutoff,
-                              fourier3d_energy, solve, solve_levels, yb_correction)
+from slabwald.ewald3d import (elc_correction, elc_h_cutoff, fourier3d_energy, solve,
+                              solve_levels, yb_correction)
 
 
 def _reciprocal_bruteforce(system, params):
@@ -233,7 +233,8 @@ def test_solve_breakdown_and_flags(small_system):
     params = EwaldParams(alpha=0.8, s=6.0, L_z=10.0, M=8)
     full = solve(small_system, spec, params)
     assert set(full.breakdown) == {"real", "fourier3d", "self", "yb", "elc"}
-    bare = solve(small_system, spec, params, CorrectionFlags(False, False))
+    bare = solve(small_system, spec,
+                 dataclasses.replace(params, include_yb=False, include_elc=False))
     assert set(bare.breakdown) == {"real", "fourier3d", "self"}
     # the toggles really move the answer
     assert full.energy != pytest.approx(bare.energy, rel=1e-12)
@@ -241,12 +242,12 @@ def test_solve_breakdown_and_flags(small_system):
 
 def test_solve_levels_endpoint_matches_solve(small_system):
     spec = DielectricSpec(0.5, -0.7)
-    params = EwaldParams(alpha=0.8, s=6.0, L_z=10.0, M=6)
     for yb in (True, False):
         for elc in (True, False):
-            flags = CorrectionFlags(include_yb=yb, include_elc=elc)
-            sweep = solve_levels(small_system, spec, params, flags)
-            res = solve(small_system, spec, params, flags)
+            params = EwaldParams(alpha=0.8, s=6.0, L_z=10.0, M=6, include_yb=yb,
+                                 include_elc=elc)
+            sweep = solve_levels(small_system, spec, params)
+            res = solve(small_system, spec, params)
             assert sweep.energies[-1] == pytest.approx(res.energy, rel=1e-13)
             np.testing.assert_allclose(sweep.forces[-1], res.forces, rtol=1e-11,
                                        atol=1e-13 * np.abs(res.forces).max())
@@ -261,11 +262,11 @@ def test_solve_rejects_elc_below_image_stack():
     with pytest.raises(DomainError, match="diverges"):
         solve(system, spec, params)
     with pytest.raises(DomainError, match="diverges"):
-        solve_levels(system, spec, params, CorrectionFlags(include_elc=True))
-    no_elc = CorrectionFlags(include_elc=False)
-    res = solve(system, spec, params, no_elc)
+        solve_levels(system, spec, params)
+    no_elc = dataclasses.replace(params, include_elc=False)
+    res = solve(system, spec, no_elc)
     assert math.isfinite(res.energy) and np.all(np.isfinite(res.forces))
-    sweep = solve_levels(system, spec, params, no_elc)
+    sweep = solve_levels(system, spec, no_elc)
     assert np.all(np.isfinite(sweep.energies)) and np.all(np.isfinite(sweep.forces))
 
 
@@ -276,15 +277,14 @@ def test_solve_rejects_elc_below_image_stack():
 def test_elc_rejects_padding_at_or_below_image_stack(params):
     system = gen_system(1)
     spec = DielectricSpec(0.6, 0.6)
-    elc_on = CorrectionFlags(include_elc=True)
     for call in (lambda: solve(system, spec, params),
-                 lambda: solve_levels(system, spec, params, elc_on),
+                 lambda: solve_levels(system, spec, params),
                  lambda: elc_correction(system, spec, params),
                  lambda: elc_h_cutoff(spec, params.M, system.height, params.L_z)):
         with pytest.raises(DomainError, match="diverges"):
             call()
     if params.L_z >= system.height:
-        res = solve(system, spec, params, CorrectionFlags(include_elc=False))
+        res = solve(system, spec, dataclasses.replace(params, include_elc=False))
         assert math.isfinite(res.energy) and np.all(np.isfinite(res.forces))
 
 
@@ -711,7 +711,8 @@ def test_real_space_stops_at_cutoff_level_bit_for_bit(case):
 
     with mock.patch.object(ewald3d, "build_image_table", table), \
             mock.patch.object(ewald3d, "_fourier3d_core", no_fourier):
-        sweep = solve_levels(system, spec, params, CorrectionFlags(False, False))
+        sweep = solve_levels(system, spec, dataclasses.replace(
+            params, include_yb=False, include_elc=False))
     assert built == [min(params.M, math.floor(params.r_c / system.height) + 1)]
     full = build_image_table(system, spec, params.M)
     e, f = ewald3d._real_space_pairs(system, full, params, True)

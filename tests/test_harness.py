@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 import slabwald
 from slabwald.cli import main as cli_main
-from slabwald.core import DomainError, read_system, write_system
+from slabwald.core import DielectricSpec, DomainError, read_system, write_system
+from slabwald.ewald3d import solve
 from slabwald.harness import (CSV_HEADER, FitDegenerateError, SplitMix64,
                               SweepConfig, SweepRow, default_alpha, fit_decay,
                               force_rel_err, gen_system, parse_composition,
                               parse_config, reference_level, rows_to_csv,
                               run_sweep)
+from slabwald.tuner import ToleranceRequest, select_all
 from test_core import CONTRACT_CASES, contract_case
 
 
@@ -345,6 +347,11 @@ def test_cli_rejects_inputs_outside_contract(tmp_path, capsys, case, solver):
     assert CONTRACT_CASES[case][2] in capsys.readouterr().err
 
 
+def test_every_public_name_resolves():
+    missing = [name for name in slabwald.__all__ if not hasattr(slabwald, name)]
+    assert missing == []
+
+
 def test_import_leaves_scipy_optimize_out():
     src = os.path.dirname(os.path.dirname(slabwald.__file__))
     code = "import sys, slabwald; print('scipy.optimize' in sys.modules)"
@@ -372,6 +379,32 @@ def test_cli_elc_at_image_stack_height_exit_code(tmp_path, capsys, m, lz):
     assert cli_main(args) == 1
     assert "diverges" in capsys.readouterr().err
     assert cli_main(args + ["--no-elc"]) == 0
+
+
+def test_cli_icm2d_ignores_a_thin_pinned_padding(tmp_path, capsys):
+    """ewald2d has no padded box: an L_z below the image stack is not an error."""
+    path = tmp_path / "sys.txt"
+    write_system(path, gen_system(1))
+    args = ["energy", str(path), "--gamma-u", "0.6", "--gamma-d", "0.6", "--alpha", "1.2",
+            "--s", "3", "--Lz", "5", "--M", "9"]
+    assert cli_main(args) == 0
+    assert capsys.readouterr().out.startswith("energy ")
+    assert cli_main(args + ["--solver", "ewald3d"]) == 1
+    assert "diverges" in capsys.readouterr().err
+
+
+def test_cli_alpha_option_tunes_s(tmp_path, capsys):
+    """--alpha alone pins alpha; --eps tunes M, L_z and s, as select_all does."""
+    path = tmp_path / "sys.txt"
+    write_system(path, gen_system(3))
+    spec = DielectricSpec(0.6, 0.6)
+    assert cli_main(["energy", str(path), "--solver", "ewald3d", "--gamma-u", "0.6",
+                     "--gamma-d", "0.6", "--eps", "1e-6", "--alpha", "1.2"]) == 0
+    energy = float(capsys.readouterr().out.split()[1])
+    system = read_system(path)
+    params = select_all(ToleranceRequest(1e-6, system.cell, spec), alpha=1.2).params
+    assert params.s == 4
+    assert energy == solve(system, spec, params).energy
 
 
 def test_cli_usage_error_exit_code():

@@ -1,5 +1,6 @@
 """Three-step parameter selection: reference table, monotonicity, edge cases."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabwald import ewald3d
+from slabwald import ewald3d, tuner
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
                            real_space_reach, real_space_step_edge)
 from slabwald.errors import splitting_error, total_budget
@@ -75,29 +76,27 @@ def test_select_Lz_amplifying_grows_with_M():
 
 def test_select_splitting_minimal_integer_s():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    s, alpha, r_c, k_c = select_splitting(req, L_z=30.0, H=1.0, M=17)
+    s, _ = select_splitting(req, L_z=30.0, M=17)
     assert s == int(s)
     assert splitting_error(s) <= 1e-8 < splitting_error(s - 1)
-    assert r_c == pytest.approx(s / alpha)
-    assert k_c == pytest.approx(2 * s * alpha)
 
 
 def test_select_splitting_continuous_hits_tolerance():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    s, _, _, _ = select_splitting(req, L_z=30.0, H=1.0, M=17, continuous_s=True)
+    s, _ = select_splitting(req, L_z=30.0, M=17, continuous_s=True)
     assert splitting_error(s) == pytest.approx(1e-8, rel=1e-6)
     # continuous root is never above the integer choice
-    s_int, _, _, _ = select_splitting(req, L_z=30.0, H=1.0, M=17)
+    s_int, _ = select_splitting(req, L_z=30.0, M=17)
     assert s <= s_int
 
 
 def test_select_splitting_alpha_floor():
     # thin padding forces alpha above the cost-policy value
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    s, alpha, _, _ = select_splitting(req, L_z=2.0, H=1.0, M=0)
+    s, alpha = select_splitting(req, L_z=2.0, M=0)
     assert alpha >= math.sqrt(math.log(1e8)) / 1.0
     with pytest.raises(DomainError):
-        select_splitting(req, L_z=1.0, H=1.0, M=0)
+        select_splitting(req, L_z=1.0, M=0)
 
 
 def test_alpha_floor_measures_from_the_image_stack():
@@ -109,14 +108,14 @@ def test_alpha_floor_measures_from_the_image_stack():
     """
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
     floor = math.sqrt(math.log(1e8))
-    assert select_alpha(req, 4, 22.0, 1.0, 20) == floor
-    _, alpha, _, _ = select_splitting(req, L_z=22.0, H=1.0, M=20)
+    assert select_alpha(req, 4, 22.0, 20) == floor
+    _, alpha = select_splitting(req, L_z=22.0, M=20)
     assert alpha == floor
     for lz in (21.0, 15.0):
         with pytest.raises(DomainError, match="no gap"):
-            select_alpha(req, 4, lz, 1.0, 20)
+            select_alpha(req, 4, lz, 20)
         with pytest.raises(DomainError, match="no gap"):
-            select_splitting(req, L_z=lz, H=1.0, M=20)
+            select_splitting(req, L_z=lz, M=20)
 
 
 def test_alpha_floor_meets_epsilon_in_a_thin_metal_box():
@@ -133,7 +132,7 @@ def test_alpha_floor_meets_epsilon_in_a_thin_metal_box():
     system = gen_system(1)
     m = select_M(req)
     assert m == 38
-    s, alpha, _, _ = select_splitting(req, L_z=40.0, H=1.0, M=m)
+    s, alpha = select_splitting(req, L_z=40.0, M=m)
     assert (s, alpha) == (5, math.sqrt(math.log(1e10)))
     res = ewald3d.solve(system, spec, EwaldParams(alpha=alpha, s=s, L_z=40.0, M=m),
                         compute_forces=False)
@@ -157,14 +156,55 @@ def test_select_all_budget_describes_the_default_solve(gamma, eps):
     assert b.elc_base == b.elc_image == 0.0
     assert 0.0 < b.elc_truncation <= b.splitting <= eps
     assert not {"elc_base", "elc_image", "elc_truncation"} & set(res.exceeded)
-    off = total_budget(res.params, req.spec, GEOM, ewald3d.CorrectionFlags(include_elc=False))
+    off = total_budget(dataclasses.replace(res.params, include_elc=False), req.spec, GEOM)
     assert off.elc_image > eps  # the coupling the padding alone leaves
+
+
+def test_select_all_keeps_every_pin_and_runs_no_step():
+    """Pinning every field of the tuned params returns the same params and budget,
+    without running any tuning step."""
+    req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
+    tuned = select_all(req)
+    p = tuned.params
+    steps = ("select_M", "select_Lz", "_select_s", "select_alpha")
+    with mock.patch.multiple(tuner, **{name: mock.DEFAULT for name in steps}) as called:
+        pinned = select_all(req, M=p.M, L_z=p.L_z, s=p.s, alpha=p.alpha,
+                            include_yb=p.include_yb, include_elc=p.include_elc)
+    assert not any(m.called for m in called.values())
+    assert pinned == tuned
+
+
+def test_select_all_tunes_only_the_unpinned_fields():
+    """A pinned alpha leaves the s step to pick s (the CLI once fixed s = 6); a
+    pinned M or s feeds the steps after it, in the order M, L_z(M), s, alpha."""
+    req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
+    assert select_all(req, alpha=1.2).params.s == 4
+    assert select_all(req, alpha=1.2).params.alpha == 1.2
+    p = select_all(req, M=5).params
+    assert (p.M, p.L_z) == (5, select_Lz(req, 5))
+    assert p.alpha == select_alpha(req, p.s, p.L_z, 5)
+    p = select_all(req, s=3.0, L_z=22.0, M=20).params
+    assert (p.s, p.L_z, p.M) == (3.0, 22.0, 20)
+    assert p.alpha == math.sqrt(math.log(1e8))  # the a_min floor, a_min = 1
+
+
+@pytest.mark.parametrize("yb", [True, False])
+@pytest.mark.parametrize("elc", [True, False])
+def test_select_all_budget_and_solve_follow_the_switches(small_system, yb, elc):
+    """The budget is total_budget of the returned params, and the solve at those
+    params has a yb and an elc term exactly when they are on."""
+    req = ToleranceRequest(1e-4, GEOM, DielectricSpec(0.6, 0.6))
+    res = select_all(req, include_yb=yb, include_elc=elc)
+    assert (res.params.include_yb, res.params.include_elc) == (yb, elc)
+    assert res.budget == total_budget(res.params, req.spec, req.geometry)
+    breakdown = ewald3d.solve(small_system, req.spec, res.params).breakdown
+    switched = {name for name, on in (("yb", yb), ("elc", elc)) if on}
+    assert set(breakdown) == {"real", "fourier3d", "self"} | switched
 
 
 def test_custom_alpha_policy_is_used():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    _, alpha, _, _ = select_splitting(req, L_z=30.0, H=1.0, M=17,
-                                      alpha_policy=lambda r, s: 7.25)
+    _, alpha = select_splitting(req, L_z=30.0, M=17, alpha_policy=lambda r, s: 7.25)
     assert alpha == 7.25
 
 
@@ -263,11 +303,12 @@ def test_default_alpha_policy_tops_the_real_space_step(case):
     with mock.patch.object(ewald3d, "build_image_table", table), \
             mock.patch.object(ewald3d, "_fourier3d_core", no_fourier):
         for p in (params, old):
-            ewald3d.solve(system, req.spec, p, ewald3d.CorrectionFlags(False, False))
+            ewald3d.solve(system, req.spec,
+                          dataclasses.replace(p, include_yb=False, include_elc=False))
     assert built == [reach[0], reach[0]]
 
     floor = math.sqrt(math.log(1.0 / req.epsilon)) / (lz - h)
-    got = select_alpha(req, s, lz, h, 0)
+    got = select_alpha(req, s, lz, 0)
     assert got == max(alpha, floor)
     if thin:
         assert got == floor > alpha
