@@ -97,17 +97,22 @@ def _run_solver(args):
     spec = DielectricSpec(args.gamma_u, args.gamma_d)
     # ewald2d has no padded box, so neither correction applies to it
     padded = args.solver == "ewald3d"
-    params = select_all(ToleranceRequest(args.eps, system.cell, spec), M=args.M,
-                        L_z=args.Lz, s=args.s, alpha=args.alpha,
-                        include_yb=padded and not args.no_yb,
-                        include_elc=padded and not args.no_elc).params
+    tuned = select_all(ToleranceRequest(args.eps, system.cell, spec), M=args.M,
+                       L_z=args.Lz, s=args.s, alpha=args.alpha,
+                       include_yb=padded and not args.no_yb,
+                       include_elc=padded and not args.no_elc)
     if padded:
-        res = ewald3d.solve(system, spec, params)
+        res = ewald3d.solve(system, spec, tuned.params)
     else:
-        res = ewald2d.energy_icm(system, spec, params)
+        res = ewald2d.energy_icm(system, spec, tuned.params)
     if not (math.isfinite(res.energy) and np.all(np.isfinite(res.forces))):
         print("numerical failure: non-finite result", file=sys.stderr)
         return None, None, 2
+    # of the padded box's budget, only the split and the image series apply to ewald2d
+    over = [t for t in tuned.exceeded if padded or t in ("splitting", "image_truncation")]
+    if over:
+        print(f"warning: estimated error above eps = {args.eps:g} in: {', '.join(over)}",
+              file=sys.stderr)
     return system, res, 0
 
 

@@ -7,6 +7,7 @@ scale on top.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -128,18 +129,22 @@ def image_z_offsets(level: int, height: float) -> tuple[float, float]:
     return (2.0 * hi * height, -2.0 * lo * height)
 
 
+# a solve reads a few (spec, M, height) tables; a sweep over M reads one per M
+@functools.lru_cache(maxsize=64)
 def image_levels(spec: DielectricSpec, M: int, height: float) -> tuple[np.ndarray, np.ndarray]:
     """The image series as (M+1, 2) arrays scale[l, side] and offset[l, side].
 
     side 0 is the plus image, side 1 the minus image; level l maps z to
     (-1)^l z + offset.  Level 0 is the source itself, an ordinary image with
     scale (1, 0) and offset 0.  Entries with scale 0 are images that do not
-    exist; callers prune them.
+    exist; callers prune them.  The table is built once per (spec, M, height)
+    and shared by every caller, so both arrays are read-only.
     """
     if M < 0:
         raise DomainError("M must be >= 0")
     scale = np.array([(1.0, 0.0)] + [image_scales(spec, l) for l in range(1, M + 1)])
     offset = np.array([image_z_offsets(l, height) for l in range(M + 1)])
+    scale.flags.writeable = offset.flags.writeable = False
     return scale, offset
 
 

@@ -87,11 +87,15 @@ def elc_energy_estimate(M: int, gamma_u: float, gamma_d: float, H: float,
 
     sum_{l=0..M} (|gamma_+^(l)| + |gamma_-^(l)|) e^{-2 pi (L_z - (l+1)H)/max(L_x, L_y)},
     over the image series of `core.image_levels`; level 0, the source itself
-    with scales (1, 0), gives the base term e^{-2 pi (L_z - H)/max}.
+    with scales (1, 0), gives the base term e^{-2 pi (L_z - H)/max}.  A level
+    whose images do not exist adds exactly 0, and one whose factor overflows
+    makes the estimate inf.
     """
     scale, _ = image_levels(DielectricSpec(gamma_u, gamma_d), M, H)
-    decay = np.exp(-2.0 * math.pi * (L_z - np.arange(1, M + 2) * H) / max(L_x, L_y))
-    return float(np.abs(scale).sum(axis=1) @ decay)
+    weight = np.abs(scale).sum(axis=1)
+    with np.errstate(over="ignore"):
+        decay = np.exp(-2.0 * math.pi * (L_z - np.arange(1, M + 2) * H) / max(L_x, L_y))
+        return float(weight @ np.where(weight > 0, decay, 0.0))
 
 
 def classify_regime(g_u: float, g_d: float) -> str:

@@ -26,8 +26,10 @@ the k_z mirror of rho and of the force sums' rho half.
 A run of solves at fixed parameters builds what depends only on them once: a
 small cache of `_mode_plan`s, keyed by the cell, the walls, the parameters,
 N and CHUNK_ELEMENTS, holds the k_z grid, the level structure factors, the
-chunks with their coefficients, and ELC's certified cutoff.  `solve`,
-`solve_levels` and `fourier3d_energy` share it; its arrays are read-only.
+chunks with their coefficients, and ELC's certified cutoff, in-plane modes and
+per-level coefficients: a solve does only the work that depends on positions.
+`solve`, `solve_levels`, `fourier3d_energy` and `elc_correction` share it; its
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -163,9 +165,9 @@ class _ModePlan:
 
     A trajectory or a series of trial moves solves thousands of times at the
     parameters the tuner chose once.  Each part is built on first use, so a
-    solve with ELC off never asks for ELC's cutoff, nor an ELC-only call for
-    the reciprocal modes; a plan is shared by every solve at its key, and
-    every array it holds is read-only.
+    solve with ELC off never asks for ELC's cutoff or modes, nor an ELC-only
+    call for the reciprocal modes; a plan is shared by every solve at its key,
+    and every array it holds (`_Reciprocal`, `_Elc`) is read-only.
     """
 
     def __init__(self, cell: tuple[float, float, float], spec: DielectricSpec,
@@ -183,6 +185,13 @@ class _ModePlan:
     @functools.cached_property
     def reciprocal(self) -> _Reciprocal:
         return _reciprocal_plan(*self._key)
+
+    @functools.cached_property
+    def elc(self) -> _Elc:
+        """`_elc_plan` up to `elc_h_max`; raises, and caches nothing, as it does."""
+        cell, spec, params, n, chunk_elements = self._key
+        return _elc_plan(cell, image_levels(spec, params.M, cell[2])[0], params.L_z,
+                         self.elc_h_max, n, chunk_elements)
 
 
 # one plan per (cell, spec, params, N, CHUNK_ELEMENTS); a sweep over P or L_z
@@ -373,14 +382,31 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
     cumulative levels 0..M; forces is None without compute_forces.  Raises
     DomainError unless L_z > (M+1)H (`errors.elc_gap`).
     """
-    h_max = _mode_plan(system.cell, spec, params, system.n, CHUNK_ELEMENTS).elc_h_max
-    return _elc_modes(system, image_levels(spec, params.M, system.height)[0], params.L_z,
-                      h_max, compute_forces)
+    plan = _mode_plan(system.cell, spec, params, system.n, CHUNK_ELEMENTS).elc
+    return _elc_sum(system, plan, compute_forces)
 
 
 def _elc_modes(system: ChargeSystem, scale: np.ndarray, L_z: float, h_max: float,
                compute_forces: bool):
-    """The ELC mode sum over 0 < |h| <= h_max, for the `image_levels` scale array.
+    """The ELC mode sum over 0 < |h| <= h_max, for the `image_levels` scale array:
+    `_elc_plan`, then `_elc_sum`."""
+    plan = _elc_plan(system.cell, scale, L_z, h_max, system.n, CHUNK_ELEMENTS)
+    return _elc_sum(system, plan, compute_forces)
+
+
+@dataclass(frozen=True, eq=False)
+class _Elc:
+    """The position-independent part of the ELC mode sum at one parameter set."""
+
+    partner: np.ndarray  # (levels, 2) the side q that side p couples with
+    # per chunk of B modes: h_x, h_y, |h| (B,), C[l, p, h] (levels, 2, B) and
+    # the force weights h_x, h_y, +-h per side p (3, 1, 2, B)
+    chunks: tuple[tuple[np.ndarray, ...], ...]
+
+
+def _elc_plan(cell: tuple[float, float, float], scale: np.ndarray, L_z: float,
+              h_max: float, n: int, chunk_elements: int) -> _Elc:
+    """The modes 0 < |h| <= h_max of the ELC sum and their coefficients, in chunks.
 
     Per in-plane mode h the coupling is a sum of decaying exponentials with
     per-particle factors u_i = e^{-h(H - z_i)} (side p = 0) and v_i = e^{-h z_i}
@@ -389,44 +415,54 @@ def _elc_modes(system: ChargeSystem, scale: np.ndarray, L_z: float, h_max: float
     per side, with the offsets a of `core.elc_offsets`; an image that does not
     exist has scale 0 and adds exactly 0.  C[l, p] couples side p with side
     q = 1 - p on even levels and q = p on odd ones, and the energy is the sum
-    of C[l, p] S_p conj(S_q).  C[l, p] = C[l, q] (on even levels
-    gamma_+ = gamma_- and the offsets swap), so the two conjugate halves of
-    each force are equal and only one is contracted with the per-particle
-    factors.  The exponentially growing denominator 1 - e^{h L_z} is folded in
-    analytically, so every retained factor decays.
+    of C[l, p] S_p conj(S_q).  The exponentially growing denominator
+    1 - e^{h L_z} is folded in analytically, so every retained factor decays.
+    A chunk holds at most chunk_elements // (2 max(n, 3 levels, 2 images))
+    modes, or one.
     """
-    lx, ly, H = system.cell
-    pos = system.positions
-    q = system.charges
-    n = system.n
-
+    lx, ly, H = cell
     levels = scale.shape[0]
     l = np.arange(levels)[:, None]
     a = elc_offsets(levels - 1, H, L_z)  # (l, image, p)
     w = 0.5 * scale[:, :, None, None]
     partner = np.arange(2) ^ (l % 2 == 0)  # side q that side p couples with, (l, p)
     sig = np.array([[1.0], [-1.0]])  # sign of d/dz of the u and v factors, per h
-
-    e_lv = np.zeros(levels)
-    f_lv = np.zeros((levels, n, 3)) if compute_forces else None
-    z = pos[:, 2]
     base = -(2.0 * math.pi / (lx * ly)) * 2.0  # sign from folded denominator; 2 = half-plane
     hvecs = _half_plane_hvectors(lx, ly, h_max)
-    chunk = max(1, CHUNK_ELEMENTS // (2 * max(n, 3 * levels, 2 * np.count_nonzero(scale))))
-    for lo in range(0, len(hvecs), chunk):
-        hx, hy = hvecs[lo:lo + chunk].T
+    width = max(1, chunk_elements // (2 * max(n, 3 * levels, 2 * np.count_nonzero(scale))))
+    chunks = []
+    for lo in range(0, len(hvecs), width):
+        hx, hy = np.ascontiguousarray(hvecs[lo:lo + width].T)
         h = np.hypot(hx, hy)
         cc0 = base / (h * (1.0 - np.exp(-h * L_z)))
         coeff = (cc0 * w * np.exp(-a[..., None] * h)).sum(axis=1)  # C[l, p, modes]
+        wts = np.stack(np.broadcast_arrays(hx, hy, sig * h))[:, None]  # (3, 1, side, modes)
+        chunks.append((hx, hy, h, coeff, wts))
+    for arr in [partner] + [arr for chunk in chunks for arr in chunk]:
+        arr.flags.writeable = False
+    return _Elc(partner, tuple(chunks))
 
+
+def _elc_sum(system: ChargeSystem, plan: _Elc, compute_forces: bool):
+    """`_elc_plan`'s mode sum at the positions: cumulative per-level (energies, forces).
+
+    C[l, p] = C[l, q] (on even levels gamma_+ = gamma_- and the offsets swap),
+    so the two conjugate halves of each force are equal and only one is
+    contracted with the per-particle factors.
+    """
+    H, pos, q, n = system.height, system.positions, system.charges, system.n
+    levels = plan.partner.shape[0]
+    e_lv = np.zeros(levels)
+    f_lv = np.zeros((levels, n, 3)) if compute_forces else None
+    z = pos[:, 2]
+    for hx, hy, h, coeff, wts in plan.chunks:
         phase = q * np.exp(1j * (hx[:, None] * pos[:, 0] + hy[:, None] * pos[:, 1]))
         g = np.stack([phase * np.exp(-h[:, None] * (H - z)), phase * np.exp(-h[:, None] * z)])
         s = g.sum(axis=2)  # (2, modes)
-        d = coeff * np.conj(s)[partner]  # C[l, p] conj(S_q)
+        d = coeff * np.conj(s)[plan.partner]  # C[l, p] conj(S_q)
         e_lv += np.einsum("lph,ph->l", d, s).real
         if compute_forces:
             # the conj(S_q) half of the force is the conjugate of this S_p half
-            wts = np.stack(np.broadcast_arrays(hx, hy, sig * h))[:, None]  # (3, 1, side, modes)
             t = ((d * wts).reshape(3 * levels, -1) @ g.reshape(-1, n)).reshape(3, levels, n)
             f_lv[:, :, 0] += 2.0 * t[0].imag
             f_lv[:, :, 1] += 2.0 * t[1].imag

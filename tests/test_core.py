@@ -191,6 +191,19 @@ def test_image_table_matches_image_series(gu, gd, m, h):
                and tuple(offset[l]) == image_z_offsets(l, h) for l in range(1, m + 1))
 
 
+def test_image_levels_are_shared_and_read_only():
+    """The table is built once per (spec, M, height): every caller gets the same
+    arrays, so writing to them raises."""
+    spec = DielectricSpec(0.6, -0.3)
+    scale, offset = image_levels(spec, 5, 1.0)
+    assert image_levels(spec, 5, 1.0)[0] is scale
+    for arr in (scale, offset):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1, 0] = 0.0
+    assert scale[1, 0] == 0.6 and offset[1, 0] == 2.0
+    assert 0 < image_levels.cache_info().maxsize <= 256
+
+
 def test_image_parity():
     img_odd = image_series(
         ChargeSystem(np.zeros((1, 3)) + 0.5, np.array([0.0]), (1, 1, 1)),

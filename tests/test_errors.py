@@ -13,6 +13,7 @@ from slabwald.errors import (ELC_FIRST_SHELL_MARGIN, ErrorBudget, classify_regim
                              elc_cutoff, elc_energy_estimate, elc_truncation_energy,
                              elc_truncation_force, half_levels, image_truncation_energy,
                              image_truncation_force, splitting_error, total_budget)
+from slabwald.tuner import ToleranceRequest, select_all
 
 
 def amplification_factor(M: int, g_u: float, g_d: float) -> float:
@@ -108,6 +109,23 @@ def test_elc_estimate_hand_sum():
         math.exp(-2 * math.pi * (lz - h) / 12.0), rel=1e-15)
     with pytest.raises(DomainError):
         elc_energy_estimate(-1, gu, gd, h, lx, ly, lz)
+
+
+def test_elc_estimate_overflow_is_inf_and_absent_images_add_zero():
+    """A stack far above a thin padding: e^{2 pi ((l+1)H - L_z)/L} overflows past
+    l ~ 1130 and the 0.6^l scales flush to 0 past l ~ 1386.  An overflowing live
+    term makes the estimate inf, a flushed one adds exactly 0, and neither warns
+    (RuntimeWarnings fail the test run)."""
+    req = ToleranceRequest(1e-8, (10.0, 10.0, 1.0), DielectricSpec(0.6, 0.6))
+    result = select_all(req, M=1500, L_z=5.0, s=3.0, alpha=1.2,
+                        include_yb=False, include_elc=False)
+    assert result.budget.elc_image == math.inf and result.budget.total == math.inf
+    assert "elc_image" in result.exceeded
+    # at L_z = 300 only the flushed levels overflow: the live ones sum as if M = 1386
+    live = elc_energy_estimate(1386, 0.6, 0.6, 1.0, 10.0, 10.0, 300.0)
+    assert math.isfinite(live)
+    assert elc_energy_estimate(1500, 0.6, 0.6, 1.0, 10.0, 10.0, 300.0) == pytest.approx(
+        live, rel=1e-12)
 
 
 def test_elc_estimate_monotone_in_Lz():

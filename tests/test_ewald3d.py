@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loop_oracles import elc_correction_loop, fourier3d_core_loop
-from slabwald import ewald3d
+from slabwald import core, ewald3d
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
                            check_solvable, image_levels, image_position, image_series,
                            real_space_reach)
@@ -402,6 +402,50 @@ def test_mode_plan_follows_a_patched_chunk_budget(small_system, monkeypatch):
     assert np.abs(e_many - e_one).max() <= 1e-14 * _term_scale(e_one)
 
 
+def test_elc_plan_follows_a_patched_chunk_budget(small_system, monkeypatch):
+    """A small budget cuts ELC's modes into several chunks of its own plan, with
+    the energies and forces of one chunk."""
+    spec = DielectricSpec(0.6, 0.6)
+    params = EwaldParams(alpha=0.8, s=6.0, L_z=14.0, M=6)
+    key = (small_system.cell, spec, params, small_system.n)
+    e_one, f_one = elc_correction(small_system, spec, params)
+    assert len(ewald3d._mode_plan(*key, ewald3d.CHUNK_ELEMENTS).elc.chunks) == 1
+    # a chunk holds budget // (2 max(N, 3 levels, 2 images)) = 156 // 52 modes
+    monkeypatch.setattr(ewald3d, "CHUNK_ELEMENTS", 156)
+    e_many, f_many = elc_correction(small_system, spec, params)
+    chunks = ewald3d._mode_plan(*key, 156).elc.chunks
+    assert len(chunks) > 1 and len(chunks[0][0]) == 3
+    assert np.abs(e_many - e_one).max() <= 1e-14 * _term_scale(e_one)
+    assert np.abs(f_many - f_one).max() <= 1e-14 * _term_scale(f_one)
+    monkeypatch.undo()  # the width comes from the key, not from the global
+    assert len(ewald3d._mode_plan(*key, 52).elc.chunks) == 3 * len(chunks)
+
+
+@pytest.mark.parametrize("forces", [False, True], ids=["energy", "forces"])
+def test_warm_solves_rebuild_nothing(small_system, forces, monkeypatch):
+    """After one solve, solves at the same parameters build no mode list, no ELC
+    offsets and no image-level table: they do only the work of the positions."""
+    spec = DielectricSpec(0.6, 0.6)
+    params = EwaldParams(alpha=0.8, s=6.0, L_z=14.0, M=6)
+    warm = solve(small_system, spec, params, compute_forces=forces)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(ewald3d, "_half_plane_hvectors",
+                        counted("hvectors", ewald3d._half_plane_hvectors))
+    monkeypatch.setattr(ewald3d, "elc_offsets", counted("offsets", ewald3d.elc_offsets))
+    monkeypatch.setattr(core, "image_z_offsets", counted("levels", core.image_z_offsets))
+    moved = ChargeSystem(small_system.positions + [0.3, -0.2, 0.05], small_system.charges,
+                         small_system.cell)
+    for system in (small_system, moved, small_system):
+        got = solve(system, spec, params, compute_forces=forces)
+    assert calls == []
+    assert got.energy == warm.energy and got.breakdown == warm.breakdown
+    np.testing.assert_array_equal(got.forces, warm.forces)
+
+
 @pytest.mark.parametrize("field", ["alpha", "s", "L_z", "M", "spec", "cell"])
 def test_mode_plan_of_one_parameter_set_is_not_reused_for_another(small_system, field):
     """A solve after one at other parameters matches a solve with no plan cached, bit for bit."""
@@ -434,9 +478,11 @@ def test_mode_plan_is_read_only_and_bounded(small_system):
     h_max = elc_cutoff(splitting_error(params.s), image_levels(spec, params.M, 1.0)[0],
                        small_system.cell, params.L_z)
     assert plan.elc_h_max == h_max
-    rec = plan.reciprocal
+    rec, elc = plan.reciprocal, plan.elc
     arrays = [rec.kz, rec.sa, rec.sb] + [getattr(c, f.name) for c in rec.chunks
                                         for f in dataclasses.fields(c) if f.name != "zs"]
+    arrays += [elc.partner] + [arr for chunk in elc.chunks for arr in chunk]
+    assert len(elc.chunks) >= 1 and len(elc.chunks[0]) == 5
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
@@ -444,12 +490,14 @@ def test_mode_plan_is_read_only_and_bounded(small_system):
 
 
 def test_threads_share_mode_plans(small_system):
-    """Threads solving at two parameter sets, with the cache cleared under them,
-    get the serial results: a shared plan holds no work buffer."""
+    """Threads solving at two parameter sets, and evaluating ELC alone, with the
+    plan and image-level caches cleared under them, get the serial results: a
+    shared plan holds no work buffer."""
     spec = DielectricSpec(0.6, 0.6)
     cases = [EwaldParams(alpha=0.8, s=6.0, L_z=14.0, M=6),
              EwaldParams(alpha=0.9, s=6.0, L_z=15.0, M=6)]
     want = [solve(small_system, spec, p) for p in cases]
+    want_elc = [elc_correction(small_system, spec, p) for p in cases]
     failures = []
 
     def work(k):
@@ -457,6 +505,7 @@ def test_threads_share_mode_plans(small_system):
             for r in range(8):
                 if r == 4:
                     ewald3d._mode_plan.cache_clear()
+                    image_levels.cache_clear()
                 idx = (k + r) % 2
                 got = solve(small_system, spec, cases[idx])
                 ref = want[idx]
@@ -464,6 +513,11 @@ def test_threads_share_mode_plans(small_system):
                         and np.abs(got.forces - ref.forces).max()
                         <= 1e-12 * np.abs(ref.forces).max()):
                     failures.append((k, r, got.energy, ref.energy))
+                e, f = elc_correction(small_system, spec, cases[1 - idx])
+                e_ref, f_ref = want_elc[1 - idx]
+                if not (np.abs(e - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
+                        and np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()):
+                    failures.append((k, r, "elc", e[-1], e_ref[-1]))
         except Exception as exc:  # reported by the assertion below
             failures.append((k, repr(exc)))
 

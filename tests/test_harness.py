@@ -393,6 +393,26 @@ def test_cli_icm2d_ignores_a_thin_pinned_padding(tmp_path, capsys):
     assert "diverges" in capsys.readouterr().err
 
 
+def test_cli_warns_of_budget_terms_above_eps(tmp_path, capsys):
+    """energy and forces name on stderr the budget terms above eps; stdout and
+    the exit code are those of a run within budget."""
+    path = tmp_path / "sys.txt"
+    write_system(path, gen_system(1))
+    walls = ["--gamma-u", "0.6", "--gamma-d", "0.6", "--eps", "1e-8"]
+    pins = ["--alpha", "1.2", "--s", "3", "--Lz", "5", "--M", "9"]
+    for cmd in ("energy", "forces"):
+        assert cli_main([cmd, str(path), "--solver", "ewald3d", *walls]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli_main([cmd, str(path), "--solver", "ewald3d", "--no-elc", *walls, *pins]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == (5 if cmd == "energy" else 39)  # no elc line
+        assert err == ("warning: estimated error above eps = 1e-08 in: splitting, "
+                       "image_truncation, elc_base, elc_image, trapezoidal\n")
+    # ewald2d has no padded box: only its split and image series are reported
+    assert cli_main(["energy", str(path), *walls, *pins]) == 0
+    assert capsys.readouterr().err.endswith("in: splitting, image_truncation\n")
+
+
 def test_cli_alpha_option_tunes_s(tmp_path, capsys):
     """--alpha alone pins alpha; --eps tunes M, L_z and s, as select_all does."""
     path = tmp_path / "sys.txt"
