@@ -18,8 +18,7 @@ from .ewald3d import (elc_correction, fourier3d_energy, solve, solve_levels,
                       yb_correction)
 from .harness import (SweepConfig, SweepRow, fit_decay, gen_system,
                       parse_config, rows_to_csv, run_sweep)
-from .tuner import (ToleranceRequest, TuneResult, select_all, select_Lz,
-                    select_M, select_splitting)
+from .tuner import ToleranceRequest, TuneResult, select_all, select_Lz, select_M
 
 __version__ = "0.1.0"
 
@@ -38,5 +37,4 @@ __all__ = [
     "SweepConfig", "SweepRow", "fit_decay", "gen_system", "parse_config",
     "rows_to_csv", "run_sweep",
     "ToleranceRequest", "TuneResult", "select_all", "select_Lz", "select_M",
-    "select_splitting",
 ]

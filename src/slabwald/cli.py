@@ -67,8 +67,6 @@ def _build_parser() -> _Parser:
     t.add_argument("--H", type=float, required=True)
     t.add_argument("--Lx", type=float, required=True)
     t.add_argument("--Ly", type=float, required=True)
-    t.add_argument("--continuous-s", action="store_true")
-    t.add_argument("--rounding", choices=("ceil", "nearest"), default="ceil")
 
     sw = sub.add_parser("sweep", help="run sweep scenarios from a config file")
     sw.add_argument("config")
@@ -141,9 +139,7 @@ def _cmd_tune(args) -> int:
     from .tuner import ToleranceRequest, select_all
 
     spec = DielectricSpec(args.gamma_u, args.gamma_d)
-    req = ToleranceRequest(args.eps, (args.Lx, args.Ly, args.H), spec,
-                           rounding=args.rounding)
-    result = select_all(req, continuous_s=args.continuous_s)
+    result = select_all(ToleranceRequest(args.eps, (args.Lx, args.Ly, args.H), spec))
     p, b = result.params, result.budget
     print("s      %.6g" % p.s)
     print("M      %d" % p.M)

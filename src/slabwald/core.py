@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -246,6 +247,10 @@ class EwaldParams:
             raise DomainError("alpha and s must be positive and finite")
         if not math.isfinite(self.L_z):
             raise DomainError("L_z must be finite")
+        try:
+            operator.index(self.M)  # int or numpy integer; a float or str is refused
+        except TypeError:
+            raise DomainError(f"M must be an integer, got {self.M!r}") from None
         if self.M < 0:
             raise DomainError("M must be >= 0")
 

@@ -386,14 +386,6 @@ def elc_correction(system: ChargeSystem, spec: DielectricSpec, params: EwaldPara
     return _elc_sum(system, plan, compute_forces)
 
 
-def _elc_modes(system: ChargeSystem, scale: np.ndarray, L_z: float, h_max: float,
-               compute_forces: bool):
-    """The ELC mode sum over 0 < |h| <= h_max, for the `image_levels` scale array:
-    `_elc_plan`, then `_elc_sum`."""
-    plan = _elc_plan(system.cell, scale, L_z, h_max, system.n, CHUNK_ELEMENTS)
-    return _elc_sum(system, plan, compute_forces)
-
-
 @dataclass(frozen=True, eq=False)
 class _Elc:
     """The position-independent part of the ELC mode sum at one parameter set."""

@@ -243,7 +243,8 @@ def _estimate(config, m: int, L_z: float | None) -> float:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Execute one sweep; per-point failures become NaN rows, the sweep continues."""
+    """Execute one sweep; a P or L_z point that raises DomainError becomes a NaN
+    row, and the sweep continues."""
     system = gen_system(config.seed, config.composition, config.geometry)
     spec = config.spec
     want_f = config.quantity == "force"
@@ -278,7 +279,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 res = ewald3d.solve(system, spec, _padded_params(config, lz, config.M),
                                     compute_forces=want_f)
                 rel = _measure(config, res, ref)
-            except Exception:
+            except DomainError:
                 rel = math.nan
             wall = (time.perf_counter() - t1) * 1000.0
             rows.append(SweepRow(config.sweep, float(v), rel,

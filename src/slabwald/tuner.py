@@ -2,9 +2,11 @@
 
 Given a tolerance, the steps pick (in order) the image-series truncation level,
 the padded box height, and the splitting (s, alpha), each by inverting the
-corresponding closed-form error estimate.  `select_all` runs the steps whose
-fields the caller does not pin, and returns the `EwaldParams` that
-`ewald3d.solve` runs, YB/ELC switches included, with that solve's budget.
+corresponding closed-form error estimate: M and L_z are rounded up, and s is
+the smallest integer that meets it.  `select_all` runs the steps whose fields
+the caller does not pin (a non-integer s is a pin), and returns the
+`EwaldParams` that `ewald3d.solve` runs, YB/ELC switches included, with that
+solve's budget.
 
 At fixed s the split is a choice of r_c = s/alpha, and it trades real-space
 against reciprocal work.  The real-space distance arrays depend on r_c only
@@ -34,20 +36,15 @@ class ToleranceRequest:
     epsilon: float
     geometry: tuple[float, float, float]  # (L_x, L_y, H)
     spec: DielectricSpec
-    rounding: str = "ceil"  # or "nearest"
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise DomainError("epsilon must be in (0, 1)")
-        if self.rounding not in ("ceil", "nearest"):
-            raise DomainError("rounding must be 'ceil' or 'nearest'")
         if not all(0 < g < math.inf for g in self.geometry):  # NaN fails too
             raise DomainError("geometry lengths must be positive and finite")
 
 
-def _round_up(value: float, mode: str) -> int:
-    if mode == "nearest":
-        return int(round(value))
+def _round_up(value: float) -> int:
     return int(math.ceil(value - 1e-9))  # absorb float fuzz at exact integers
 
 
@@ -56,11 +53,11 @@ def select_M(req: ToleranceRequest) -> int:
 
     No walls -> 0; one wall -> 1 (a single reflection is exact, no multiple
     bounces exist); otherwise, with r = log|gamma_u gamma_d| - 4 pi H / max,
-    M = (2 log eps - 4 pi H / max - log|gamma_u gamma_d|) / r, rounded per
-    req.rounding.  This is not the smallest M whose
-    `errors.image_truncation_energy` is <= epsilon: that estimate falls only
-    at odd M, so the M returned is often larger and sometimes one level short
-    (gamma = 0.1, H = 1, 10 x 10, eps = 1e-8 gives M = 6, estimate 2.3e-8).
+    M = (2 log eps - 4 pi H / max - log|gamma_u gamma_d|) / r, rounded up.
+    This is not the smallest M whose `errors.image_truncation_energy` is
+    <= epsilon: that estimate falls only at odd M, so the M returned is often
+    larger and sometimes one level short (gamma = 0.1, H = 1, 10 x 10,
+    eps = 1e-8 gives M = 6, estimate 2.3e-8).
     """
     gu, gd = req.spec.gamma_u, req.spec.gamma_d
     if gu == 0.0 and gd == 0.0:
@@ -71,7 +68,7 @@ def select_M(req: ToleranceRequest) -> int:
     rate = math.log(abs(gu * gd)) - 4.0 * math.pi * H / max(L_x, L_y)
     m = (2.0 * math.log(req.epsilon) - 4.0 * math.pi * H / max(L_x, L_y)
          - math.log(abs(gu * gd))) / rate
-    return max(_round_up(m, req.rounding), 0)
+    return max(_round_up(m), 0)
 
 
 def contracting_padding(req: ToleranceRequest) -> bool:
@@ -103,7 +100,7 @@ def select_Lz(req: ToleranceRequest, M: int) -> int:
     else:
         gg = abs(req.spec.gamma_u * req.spec.gamma_d)
         lz = (M + 1) * H + mx / (2.0 * math.pi) * (log_inv_eps + math.log(gg))
-    return _round_up(lz, req.rounding)
+    return _round_up(lz)
 
 
 def default_alpha_policy(req: ToleranceRequest, s: float) -> float:
@@ -142,31 +139,12 @@ def select_alpha(req: ToleranceRequest, s: float, L_z: float, M: int,
     return max(alpha, math.sqrt(math.log(1.0 / req.epsilon)) / a_min)
 
 
-def _select_s(req: ToleranceRequest, continuous_s: bool) -> float:
-    """The smallest integer s with e^{-s^2}/s^2 <= epsilon, or the continuous
-    bisection root when requested."""
-    eps = req.epsilon
-    if continuous_s:
-        lo, hi = 1.0, 50.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if splitting_error(mid) > eps:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+def _select_s(req: ToleranceRequest) -> int:
+    """Step 3: the smallest integer s with e^{-s^2}/s^2 <= epsilon."""
     s = 1
-    while splitting_error(s) > eps:
+    while splitting_error(s) > req.epsilon:
         s += 1
     return s
-
-
-def select_splitting(req: ToleranceRequest, L_z: float, M: int,
-                     alpha_policy: Callable[[ToleranceRequest, float], float] | None = None,
-                     continuous_s: bool = False) -> tuple[float, float]:
-    """Step 3: the splitting, `_select_s`'s s and `select_alpha`'s alpha."""
-    s = _select_s(req, continuous_s)
-    return s, select_alpha(req, s, L_z, M, alpha_policy)
 
 
 @dataclass(frozen=True)
@@ -178,15 +156,15 @@ class TuneResult:
 
 def select_all(req: ToleranceRequest,
                alpha_policy: Callable[[ToleranceRequest, float], float] | None = None,
-               continuous_s: bool = False, *, M: int | None = None,
-               L_z: float | None = None, s: float | None = None,
-               alpha: float | None = None, include_yb: bool = True,
-               include_elc: bool = True) -> TuneResult:
+               *, M: int | None = None, L_z: float | None = None,
+               s: float | None = None, alpha: float | None = None,
+               include_yb: bool = True, include_elc: bool = True) -> TuneResult:
     """Tune the parameters that are not pinned, and report the budget of the solve.
 
     The keyword pins are named after the `EwaldParams` fields.  A pinned value
     is kept as given, and only the remaining steps run, in order: M, L_z(M),
-    s, then alpha (`select_alpha`, with its a_min floor).  The budget is
+    s (the smallest integer), then alpha (`select_alpha`, with its a_min
+    floor; `alpha_policy` replaces the default policy).  The budget is
     `total_budget` of the returned params, which `ewald3d.solve` runs as they
     are, switches included.  Budget fields above epsilon are flagged
     informationally (magnitudes with unit constants routinely exceed a tight
@@ -198,7 +176,7 @@ def select_all(req: ToleranceRequest,
     if L_z is None:
         L_z = select_Lz(req, M)
     if s is None:
-        s = _select_s(req, continuous_s)
+        s = _select_s(req)
     if alpha is None:
         alpha = select_alpha(req, s, L_z, M, alpha_policy)
     params = EwaldParams(alpha=alpha, s=s, L_z=float(L_z), M=M, include_yb=include_yb,

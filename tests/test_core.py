@@ -226,6 +226,21 @@ def test_ewald_params_derived_quantities():
                 EwaldParams(**{"alpha": 1.0, "s": 4.0, "L_z": 12.0, "M": 3, name: bad})
 
 
+def test_ewald_params_m_must_be_an_integer(small_system):
+    """A float or string M is refused at construction, not by `range` inside a
+    solve; a numpy integer is kept as given and solves like the same int."""
+    for bad in (2.0, 2.5, "3"):
+        with pytest.raises(DomainError, match="integer"):
+            EwaldParams(alpha=1.0, s=3.0, L_z=20.0, M=bad)
+    spec = DielectricSpec(0.6, 0.6)
+    as_np = EwaldParams(alpha=1.0, s=3.0, L_z=20.0, M=np.int64(3))
+    assert type(as_np.M) is np.int64
+    e_np = solve(small_system, spec, as_np, compute_forces=False).energy
+    e_int = solve(small_system, spec, EwaldParams(alpha=1.0, s=3.0, L_z=20.0, M=3),
+                  compute_forces=False).energy
+    assert e_np == e_int
+
+
 def test_energy_forces_breakdown_consistency():
     EnergyForces(3.0, np.zeros((1, 3)), {"a": 1.0, "b": 2.0})
     with pytest.raises(AssertionError):

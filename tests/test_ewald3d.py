@@ -162,10 +162,12 @@ def test_elc_certified_cutoff_meets_its_tolerance(case):
     assert e_cut[-1] == res.breakdown["elc"]
     scale = image_levels(spec, params.M, system.height)[0]
     h_floor = elc_h_cutoff(spec, params.M, system.height, params.L_z)[0]
-    e_ref, f_ref = ewald3d._elc_modes(system, scale, params.L_z, h_floor, True)
+    plan = ewald3d._elc_plan(system.cell, scale, params.L_z, h_floor, system.n,
+                             ewald3d.CHUNK_ELEMENTS)
+    e_ref, f_ref = ewald3d._elc_sum(system, plan, True)
     e_ref, f_ref = e_ref[-1], f_ref[-1]
     positive = ChargeSystem(system.positions, np.abs(system.charges), system.cell)
-    rounding = 1e-14 * abs(ewald3d._elc_modes(positive, scale, params.L_z, h_floor, False)[0][-1])
+    rounding = 1e-14 * abs(ewald3d._elc_sum(positive, plan, False)[0][-1])
     assert abs(e_cut[-1] - e_ref) <= tol * max(abs(res.energy), abs(e_ref)) + rounding
     assert (np.abs(f_cut[-1] - f_ref).max()
             <= tol * max(np.abs(res.forces).max(), np.abs(f_ref).max()) + h_floor * rounding)

@@ -167,6 +167,19 @@ def test_run_sweep_bad_point_becomes_nan():
     assert math.isfinite(rows[1].rel_err)
 
 
+def test_run_sweep_raises_what_is_not_a_domain_error(monkeypatch):
+    """Only DomainError marks a P or L_z point unsolvable; a programming error
+    inside the solve propagates instead of reading as a NaN row."""
+    def broken(*args, **kwargs):
+        raise TypeError("broken solve")
+
+    monkeypatch.setattr(slabwald.ewald3d, "solve", broken)
+    cfg = SweepConfig(scenario="t", geometry=(10.0, 10.0, 1.0), gamma_u=0.0,
+                      gamma_d=0.0, sweep="P", grid=(1.0,), M=0, seed=1)
+    with pytest.raises(TypeError, match="broken solve"):
+        run_sweep(cfg)
+
+
 def _synthetic_rows(xs, ys):
     return [SweepRow("M", float(x), float(y), 0.0, 0.0) for x, y in zip(xs, ys)]
 

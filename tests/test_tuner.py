@@ -16,8 +16,7 @@ from slabwald.errors import splitting_error, total_budget
 from slabwald.ewald2d import build_image_table, energy_icm
 from slabwald.harness import default_alpha, gen_system, reference_level
 from slabwald.tuner import (ToleranceRequest, contracting_padding, default_alpha_policy,
-                            select_all, select_alpha, select_Lz, select_M,
-                            select_splitting)
+                            select_all, select_alpha, select_Lz, select_M)
 
 GEOM = (10.0, 10.0, 1.0)
 
@@ -74,29 +73,20 @@ def test_select_Lz_amplifying_grows_with_M():
     assert select_Lz(req, 40) > select_Lz(req, 20)
 
 
-def test_select_splitting_minimal_integer_s():
+def test_select_all_minimal_integer_s():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    s, _ = select_splitting(req, L_z=30.0, M=17)
+    s = select_all(req, L_z=30.0, M=17).params.s
     assert s == int(s)
     assert splitting_error(s) <= 1e-8 < splitting_error(s - 1)
 
 
-def test_select_splitting_continuous_hits_tolerance():
-    req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    s, _ = select_splitting(req, L_z=30.0, M=17, continuous_s=True)
-    assert splitting_error(s) == pytest.approx(1e-8, rel=1e-6)
-    # continuous root is never above the integer choice
-    s_int, _ = select_splitting(req, L_z=30.0, M=17)
-    assert s <= s_int
-
-
-def test_select_splitting_alpha_floor():
+def test_select_all_alpha_floor():
     # thin padding forces alpha above the cost-policy value
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    s, alpha = select_splitting(req, L_z=2.0, M=0)
+    alpha = select_all(req, L_z=2.0, M=0).params.alpha
     assert alpha >= math.sqrt(math.log(1e8)) / 1.0
     with pytest.raises(DomainError):
-        select_splitting(req, L_z=1.0, M=0)
+        select_all(req, L_z=1.0, M=0)
 
 
 def test_alpha_floor_measures_from_the_image_stack():
@@ -109,13 +99,12 @@ def test_alpha_floor_measures_from_the_image_stack():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
     floor = math.sqrt(math.log(1e8))
     assert select_alpha(req, 4, 22.0, 20) == floor
-    _, alpha = select_splitting(req, L_z=22.0, M=20)
-    assert alpha == floor
+    assert select_all(req, L_z=22.0, M=20).params.alpha == floor
     for lz in (21.0, 15.0):
         with pytest.raises(DomainError, match="no gap"):
             select_alpha(req, 4, lz, 20)
         with pytest.raises(DomainError, match="no gap"):
-            select_splitting(req, L_z=lz, M=20)
+            select_all(req, L_z=lz, M=20)
 
 
 def test_alpha_floor_meets_epsilon_in_a_thin_metal_box():
@@ -132,10 +121,9 @@ def test_alpha_floor_meets_epsilon_in_a_thin_metal_box():
     system = gen_system(1)
     m = select_M(req)
     assert m == 38
-    s, alpha = select_splitting(req, L_z=40.0, M=m)
-    assert (s, alpha) == (5, math.sqrt(math.log(1e10)))
-    res = ewald3d.solve(system, spec, EwaldParams(alpha=alpha, s=s, L_z=40.0, M=m),
-                        compute_forces=False)
+    p = select_all(req, L_z=40.0, M=m).params
+    assert (p.s, p.alpha) == (5, math.sqrt(math.log(1e10)))
+    res = ewald3d.solve(system, spec, p, compute_forces=False)
     ref = energy_icm(system, spec,
                      EwaldParams(alpha=default_alpha(6.0, GEOM), s=6.0, L_z=2.0,
                                  M=reference_level(spec, GEOM)), compute_forces=False)
@@ -204,8 +192,8 @@ def test_select_all_budget_and_solve_follow_the_switches(small_system, yb, elc):
 
 def test_custom_alpha_policy_is_used():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
-    _, alpha = select_splitting(req, L_z=30.0, M=17, alpha_policy=lambda r, s: 7.25)
-    assert alpha == 7.25
+    tuned = select_all(req, L_z=30.0, M=17, alpha_policy=lambda r, s: 7.25)
+    assert tuned.params.alpha == 7.25
 
 
 def test_tolerance_request_validation():
@@ -221,8 +209,6 @@ def test_tolerance_request_validation():
             geometry[axis] = bad
             with pytest.raises(DomainError):
                 ToleranceRequest(1e-8, tuple(geometry), DielectricSpec(0.0, 0.0))
-    with pytest.raises(DomainError):
-        ToleranceRequest(1e-8, GEOM, DielectricSpec(0.0, 0.0), rounding="floor")
 
 
 def test_select_all_reports_budget_and_flags():
