@@ -5,6 +5,10 @@ switchable YB/ELC corrections, closed-form a-priori error estimators, and a
 three-step parameter tuner.
 """
 
+from ._threads import apply_thread_cap
+
+apply_thread_cap()  # before numpy loads: SLABWALD_THREADS caps its BLAS pool
+
 from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces,
                    EwaldParams, ImageCharge, LevelSweep, Violation, image_position,
                    image_series, read_system, reflection_factors, validate,

@@ -1,8 +1,8 @@
 """Command-line interface: energy, forces, tune, sweep, table1, gen.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 64 usage error.
-Only the standard library is imported at module level so SLABWALD_THREADS can
-cap BLAS/OpenMP parallelism before numpy is loaded (0 = auto, i.e. no cap).
+`import slabwald` applies SLABWALD_THREADS (0 = auto, i.e. no cap) before numpy
+is loaded; `main` rejects a value that is not an integer as a usage error.
 """
 
 from __future__ import annotations
@@ -12,22 +12,9 @@ import math
 import os
 import sys
 
+from ._threads import thread_cap
+
 EX_USAGE = 64
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SLABWALD_THREADS")
-    if not cap:
-        return
-    try:
-        n = int(cap)
-    except ValueError:
-        raise SystemExit(f"SLABWALD_THREADS must be an integer, got {cap!r}")
-    if n <= 0:  # 0 = auto
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,8 +182,13 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    try:
+        thread_cap()
+    except ValueError:
+        parser.error("SLABWALD_THREADS must be an integer, got "
+                     f"{os.environ['SLABWALD_THREADS']!r}")
+    args = parser.parse_args(argv)
     handlers = {"energy": _cmd_energy, "forces": _cmd_forces, "tune": _cmd_tune,
                 "sweep": _cmd_sweep, "table1": _cmd_table1, "gen": _cmd_gen}
     from .core import DomainError

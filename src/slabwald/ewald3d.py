@@ -12,16 +12,19 @@ temporaries stay within CHUNK_ELEMENTS entries.
 
 Every term reads the image series from one per-level table,
 `core.image_levels` (scale and z offset per level and plus/minus side), with no
-loop over levels of its own, and reports its cumulative values at every level
-0..M.  `_terms` assembles them into one `core.LevelSweep`: `solve_levels`
-returns it and `solve` reads level M from it.
+loop over levels of its own.  `_terms` assembles the terms at the levels the
+caller reads into one `core.LevelSweep`: `solve_levels` asks for every level
+0..M, `solve` and `fourier3d_energy` for level M alone.  Real space, YB and ELC
+report their cumulative values at every level, which are indexed; the
+reciprocal sum contracts its level structure factors at the asked levels only.
 
 Everything is factored through per-particle structure factors, so cost is
 O(N · #k) rather than O(N^2 · #k), and per-image-level reductions come for free.
 The reciprocal sum orders its in-plane blocks by |h| and trims each chunk's k_z.
-Each chunk costs one structure-factor product and one force product: with
-coefficients even in k_z, lambda and the force sums' lambda half are read off
-the k_z mirror of rho and of the force sums' rho half.
+Each chunk costs one structure-factor product, one z force product and, with
+forces, one x/y force product: the energy is read off the z force sums, and
+with coefficients even in k_z, lambda's share of the energy and the force
+sums' lambda half are read off their k_z mirror.
 
 A run of solves at fixed parameters builds what depends only on them once: a
 small cache of `_mode_plan`s, keyed by the cell, the walls, the parameters,
@@ -249,76 +252,87 @@ def _reciprocal_plan(cell: tuple[float, float, float], spec: DielectricSpec,
 
 
 def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-                    compute_forces: bool):
-    """k != 0 reciprocal-space sum; returns cumulative per-level (energies, forces).
+                    compute_forces: bool, levels=slice(None)):
+    """k != 0 reciprocal-space sum: cumulative (energies, forces) at `levels`.
 
-    Modes are enumerated as in-plane blocks (one of each +-h pair) times the
-    k_z column |k| <= k_c allows, in the chunks of the parameters' cached
-    `_mode_plan`; the h = 0 block carries both signs of k_z at half weight
-    (its two halves are conjugates), so every coefficient is even in k_z and
-    a chunk mirrors its stored k_z >= 0 half.  A chunk of blocks costs one
-    product for its structure factors, rho = (q XY) @ ez^T with XY read from
-    per-axis phase tables, and lambda(h, k_z) = conj(rho(h, -k_z)) is rho
-    reversed along the chunk's symmetric k_z window.  The force sums
-    t_a = (coef conj(rho))^T @ XY are one more product per chunk; their lambda
-    half is t_a's k_z mirror plus its conjugate, and both halves meet ez once
-    at the end.
+    `levels` indexes the levels 0..M (a slice, or a sequence of levels); only
+    those rows of S_A and S_B are contracted.  Modes are enumerated as in-plane
+    blocks (one of each +-h pair) times the k_z column |k| <= k_c allows, in
+    the chunks of the parameters' cached `_mode_plan`; the h = 0 block carries
+    both signs of k_z at half weight (its two halves are conjugates), so every
+    coefficient is even in k_z and a chunk mirrors its stored k_z >= 0 half.
+    A chunk of blocks costs one product for its structure factors,
+    rho = (q XY) @ ez^T with XY read from per-axis phase tables, and one for
+    its z force sums t_z = w^T @ (q XY), w = coef conj(rho); with forces, one
+    more gives the x and y sums w^T @ (h_x q XY, h_y q XY).  The energy is read
+    off t_z: sum_h coef |rho|^2 = sum_j ez t_z, and lambda(h, k_z) =
+    conj(rho(h, -k_z)) pairs ez with t_z's k_z mirror.  The force sums' lambda
+    half is also their k_z mirror and conjugate.  The k_z and y phase tables
+    are built from their k >= 0 halves, as e^{-ikx} = conj(e^{ikx}).
     """
     lx, ly, H = system.cell
     lz = params.L_z
     if lz < H:
         raise DomainError("padded height L_z must be at least the slab height H")
     plan = _mode_plan(system.cell, spec, params, system.n, CHUNK_ELEMENTS).reciprocal
-    kz, sa, sb = plan.kz, plan.sa, plan.sb
+    kz, sa, sb = plan.kz, plan.sa[levels], plan.sb[levels]
     vol = lx * ly * lz
     pos = system.positions
     q = system.charges
     n = system.n
 
     nzed = len(kz)
-    ez = np.exp(1j * np.outer(kz, pos[:, 2]))  # (NZ, N)
+    ez = _mirror_phases(np.exp(1j * np.outer(kz[nzed // 2:], pos[:, 2])))  # (NZ, N)
     qex = q * np.exp(2j * math.pi / lx * np.outer(np.arange(plan.mx_max + 1), pos[:, 0]))
-    ey = np.exp(2j * math.pi / ly * np.outer(np.arange(-plan.my_max, plan.my_max + 1),
-                                             pos[:, 1]))
+    ey = _mirror_phases(np.exp(2j * math.pi / ly * np.outer(np.arange(plan.my_max + 1),
+                                                            pos[:, 1])))
 
-    p_acc = np.zeros(nzed, dtype=complex)
-    q_acc = np.zeros(nzed, dtype=complex)
+    t_z = np.zeros((nzed, n), dtype=complex)
     if compute_forces:
-        # (NZ, 3N): column blocks for x, y, z weighted by h_x, h_y and 1 (k_z
-        # applied last)
-        t_a = np.zeros((nzed, 3 * n), dtype=complex)
+        t_xy = np.zeros((nzed, 2, n), dtype=complex)  # weighted by h_x, h_y
 
     for chunk in plan.chunks:
         zs = chunk.zs
         coef = np.concatenate([chunk.coef[:, :0:-1], chunk.coef], axis=1)  # (B, NZ)
         qxy = qex[chunk.ix] * ey[chunk.iy]  # (B, N)
-        rho = qxy @ ez[zs].T
-        w = coef * np.conj(rho)
-        p_acc[zs] += np.sum(rho * w, axis=0)
-        # coef lambda = coef conj(rho(-k_z)) = w reversed in k_z, as coef is even
-        q_acc[zs] += np.sum(rho * w[:, ::-1], axis=0)
+        w = qxy @ ez[zs].T  # rho, then coef conj(rho) in place
+        np.conj(w, out=w)
+        w *= coef
+        t_z[zs] += w.T @ qxy
         if compute_forces:
-            hx, hy = chunk.h[:, 0:1], chunk.h[:, 1:2]
-            t_a[zs] += w.T @ np.hstack([hx * qxy, hy * qxy, qxy])
+            hxy = (chunk.h[:, :, None] * qxy[:, None, :]).reshape(len(qxy), 2 * n)
+            t_xy[zs] += (w.T @ hxy).reshape(-1, 2, n)
 
     # half-plane of in-plane modes was enumerated; mirrors contribute the
     # complex conjugate, hence the overall 2 Re(...)
     pref = 2.0 * math.pi / vol
+    # sum_h rho w = sum_j ez t_z; coef lambda = coef conj(rho(-k_z)) is w
+    # reversed in k_z, as coef is even, so lambda pairs ez with t_z reversed
+    p_acc = np.sum(ez * t_z, axis=1)
+    q_acc = np.sum(ez * t_z[::-1], axis=1)
     energies = 2.0 * pref * np.real(sa @ p_acc + sb @ q_acc)
     forces = None
     if compute_forces:
-        # the lambda sums, (coef lambda)^T @ XY + (coef rho)^T @ conj(XY): lambda
-        # and conj(XY) enter x and y with opposite signs, z with the same sign
-        t_b = t_a[::-1] + np.repeat([-1.0, -1.0, 1.0], n) * np.conj(t_a)
         forces = np.zeros((sa.shape[0], n, 3))
-        for ax in range(3):
-            cols = slice(ax * n, (ax + 1) * n)
-            # i (e conj(rho) - conj(e) rho), summed over modes
-            acc_a = -2.0 * np.imag(ez * t_a[:, cols])
-            acc_b = 1j * ez * t_b[:, cols]
+        ezc = np.conj(ez)
+        for ax, t_a in enumerate((t_xy[:, 0], t_xy[:, 1], t_z)):
             wa, wb = (sa * kz, sb * kz) if ax == 2 else (sa, sb)
-            forces[:, :, ax] = -2.0 * pref * np.real(wa @ acc_a + wb @ acc_b)
+            # The force is -2 pref Re(wa @ (-2 Im(ez t_a)) + wb @ (i ez t_b)),
+            # -2 Im(ez t_a) being i (e conj(rho) - conj(e) rho) summed over
+            # modes, with the lambda sums t_b = (coef lambda)^T @ XY +
+            # (coef rho)^T @ conj(XY) = t_a[::-1] -+ conj(t_a): lambda and
+            # conj(XY) enter x and y with opposite signs, z with the same sign.
+            # As ez(-k_z) = conj(ez(k_z)), t_b's mirror and conjugate move onto
+            # wb, and both halves meet conj(ez) t_a.
+            wb = wb[:, ::-1] - np.conj(wb) if ax == 2 else wb[:, ::-1] + np.conj(wb)
+            forces[:, :, ax] = 2.0 * pref * np.imag((wa + np.conj(wa)) @ (ez * t_a)
+                                                    + wb @ (ezc * t_a))
     return energies, forces
+
+
+def _mirror_phases(half: np.ndarray) -> np.ndarray:
+    """Rows k = -K..K of e^{ikx} from its rows k = 0..K: e^{-ikx} = conj(e^{ikx})."""
+    return np.concatenate([np.conj(half[:0:-1]), half])
 
 
 def fourier3d_energy(system: ChargeSystem, spec: DielectricSpec,
@@ -327,9 +341,9 @@ def fourier3d_energy(system: ChargeSystem, spec: DielectricSpec,
 
     Returns (energy, forces).
     """
-    energies, forces = _fourier3d_core(system, spec, params, compute_forces)
-    f = forces[-1] if compute_forces else np.zeros((system.n, 3))
-    return float(energies[-1]) + self_energy(system, params.alpha), f
+    energies, forces = _fourier3d_core(system, spec, params, compute_forces, [params.M])
+    f = forces[0] if compute_forces else np.zeros((system.n, 3))
+    return float(energies[0]) + self_energy(system, params.alpha), f
 
 
 def yb_correction(system: ChargeSystem, spec: DielectricSpec, M: int, L_z: float,
@@ -465,9 +479,12 @@ def _elc_sum(system: ChargeSystem, plan: _Elc, compute_forces: bool):
 
 
 def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
-           compute_forces: bool) -> LevelSweep:
-    """One padded-box evaluation, every term at every level 0..M.
+           compute_forces: bool, levels) -> LevelSweep:
+    """One padded-box evaluation, every term at `levels`.
 
+    `levels` indexes the levels 0..M (a slice, or a sequence of levels), and
+    row r of the returned sweep is the r-th level it selects.  Only the
+    reciprocal sum costs less for fewer levels; the other terms are indexed.
     Raises DomainError for an input outside the solvers' contract
     (`core.check_solvable`) and, with ELC on, unless L_z > (M+1)H
     (`errors.elc_gap`).  ELC runs first, so that check comes before the
@@ -480,19 +497,23 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
     m_real = min(params.M, real_space_reach(params.r_c, system.cell)[0])
     table = build_image_table(system, spec, m_real)
     e_real, f_real = _real_space_pairs(system, table, params, compute_forces)
-    e_four, f_four = _fourier3d_core(system, spec, params, compute_forces)
-    upto = np.minimum(np.arange(params.M + 1), m_real)  # repeats level m_real above it
+    e_four, f_four = _fourier3d_core(system, spec, params, compute_forces, levels)
+    # repeats level m_real above it
+    upto = np.minimum(np.arange(params.M + 1), m_real)[levels]
     energies = {"real": np.cumsum(e_real)[upto], "fourier3d": e_four,
-                "self": np.full(params.M + 1, self_energy(system, params.alpha))}
+                "self": np.full(len(e_four), self_energy(system, params.alpha))}
     forces = [np.cumsum(f_real, axis=0)[upto], f_four] if compute_forces else []
     if params.include_yb:
-        energies["yb"], f_yb = yb_correction(system, spec, params.M, params.L_z,
-                                             compute_forces=compute_forces)
-        forces.append(f_yb)
+        e_yb, f_yb = yb_correction(system, spec, params.M, params.L_z,
+                                   compute_forces=compute_forces)
+        energies["yb"] = e_yb[levels]
+        if compute_forces:
+            forces.append(f_yb[levels])
     if params.include_elc:
-        energies["elc"] = e_elc
-        forces.append(f_elc)
-    total_f = sum(forces) if compute_forces else np.zeros((params.M + 1, system.n, 3))
+        energies["elc"] = e_elc[levels]
+        if compute_forces:
+            forces.append(f_elc[levels])
+    total_f = sum(forces) if compute_forces else np.zeros((len(e_four), system.n, 3))
     return LevelSweep(sum(energies.values()), total_f, energies)
 
 
@@ -504,7 +525,7 @@ def solve(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
     Raises DomainError for an input outside `core.check_solvable`'s contract,
     and when ELC is on and L_z <= (M+1)H.
     """
-    return _terms(system, spec, params, compute_forces).at(params.M)
+    return _terms(system, spec, params, compute_forces, [params.M]).at(0)
 
 
 def solve_levels(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
@@ -514,4 +535,4 @@ def solve_levels(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams
     Used for sweeps over M at the cost of a single converged solve.  Raises
     DomainError as `solve` does.
     """
-    return _terms(system, spec, params, compute_forces)
+    return _terms(system, spec, params, compute_forces, slice(None))

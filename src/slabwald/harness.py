@@ -106,6 +106,10 @@ class SweepConfig:
             raise DomainError(f"unknown quantity {self.quantity!r}")
         if list(self.grid) != sorted(self.grid) or len(set(self.grid)) != len(self.grid):
             raise DomainError("grid must be strictly increasing")
+        for name in ("s", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def spec(self) -> DielectricSpec:
@@ -216,8 +220,9 @@ def _reference_params(config) -> EwaldParams:
 
 
 def _padded_params(config, L_z: float, M: int) -> EwaldParams:
-    return EwaldParams(alpha=config.alpha or default_alpha(config.s, config.geometry, L_z),
-                       s=config.s, L_z=L_z, M=M, include_yb=config.include_yb,
+    alpha = (default_alpha(config.s, config.geometry, L_z) if config.alpha is None
+             else config.alpha)
+    return EwaldParams(alpha=alpha, s=config.s, L_z=L_z, M=M, include_yb=config.include_yb,
                        include_elc=config.include_elc)
 
 

@@ -668,6 +668,32 @@ def test_reciprocal_contraction_matches_loop_on_random_systems(case):
 
 
 @settings(max_examples=20, deadline=None)
+@given(case=slab_cases(), data=st.data())
+def test_reciprocal_sum_at_chosen_levels_matches_all_levels(case, data):
+    """S_A and S_B contracted at some levels give those rows of the all-levels sum:
+    at (M,), which `solve` asks for, and at a drawn subset."""
+    system, spec, params, chunk = case
+    drawn = data.draw(st.lists(st.integers(0, params.M), min_size=1, unique=True).map(sorted))
+    # as in the test above: opposite charges can cancel the terms exactly
+    floor = _positive_charge_scale(
+        lambda *a: ewald3d._fourier3d_core(*a, False), system, spec, params)
+    with mock.patch.object(ewald3d, "CHUNK_ELEMENTS", chunk):
+        e_all, f_all = ewald3d._fourier3d_core(system, spec, params, True)
+        for levels in ([params.M], drawn):
+            e_scale = max(_term_scale(e_all[levels]), floor)
+            f_scale = max(_term_scale(f_all[levels]), params.k_c * floor)
+            for forces in (True, False):
+                e, f = ewald3d._fourier3d_core(system, spec, params, forces, levels)
+                assert e.shape == (len(levels),)
+                assert np.abs(e - e_all[levels]).max() <= 1e-14 * e_scale
+                if forces:
+                    assert f.shape == (len(levels), system.n, 3)
+                    assert np.abs(f - f_all[levels]).max() <= 1e-14 * f_scale
+                else:
+                    assert f is None
+
+
+@settings(max_examples=20, deadline=None)
 @given(case=slab_cases())
 def test_elc_contraction_matches_loop_on_random_systems(case):
     system, spec, params, chunk = case
@@ -762,8 +788,9 @@ def test_real_space_stops_at_cutoff_level_bit_for_bit(case):
         built.append(m)
         return build_image_table(system_, spec_, m)
 
-    def no_fourier(system_, spec_, params_, compute_forces):
-        return np.zeros(params_.M + 1), np.zeros((params_.M + 1, system_.n, 3))
+    def no_fourier(system_, spec_, params_, compute_forces, levels):
+        return (np.zeros(params_.M + 1)[levels],
+                np.zeros((params_.M + 1, system_.n, 3))[levels])
 
     with mock.patch.object(ewald3d, "build_image_table", table), \
             mock.patch.object(ewald3d, "_fourier3d_core", no_fourier):

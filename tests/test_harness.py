@@ -1,9 +1,11 @@
 """Sweep harness: pinned RNG, system generation, CSV schema, fits, and the CLI."""
 
+import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slabwald
+from slabwald import harness
+from slabwald._threads import POOL_VARIABLES
 from slabwald.cli import main as cli_main
 from slabwald.core import DielectricSpec, DomainError, read_system, write_system
 from slabwald.ewald3d import solve
@@ -83,6 +87,26 @@ def test_sweep_config_validation():
     assert SweepConfig(**{**base, "Lz": 17.0}).fixed_Lz() == 17.0
     with pytest.raises(DomainError):
         SweepConfig(**base).fixed_Lz()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["alpha", "s"])
+def test_sweep_config_rejects_a_split_outside_the_domain(name, value):
+    """alpha = 0 is refused as EwaldParams refuses it, not run at the default alpha."""
+    base = dict(scenario="x", geometry=(10.0, 10.0, 1.0), gamma_u=0.5,
+                gamma_d=0.5, sweep="M", grid=(1.0, 2.0), P=2.0)
+    with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+        SweepConfig(**{**base, name: value})
+    with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+        parse_config(f"[x]\nsweep = M\ngrid = 1,2\nP = 2\n{name} = {value}\n")
+
+
+def test_sweep_runs_at_the_alpha_it_names():
+    cfg = SweepConfig(scenario="x", geometry=(10.0, 10.0, 1.0), gamma_u=0.5,
+                      gamma_d=0.5, sweep="M", grid=(1.0, 2.0), P=2.0, alpha=0.3)
+    assert harness._padded_params(cfg, 21.0, 2).alpha == 0.3
+    default = harness._padded_params(replace(cfg, alpha=None), 21.0, 2).alpha
+    assert default == default_alpha(cfg.s, cfg.geometry, 21.0) != 0.3
 
 
 def test_parse_config_roundtrip():
@@ -371,6 +395,61 @@ def test_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+# Prints the OPENBLAS_NUM_THREADS that numpy's import found and the thread
+# count of every loaded OpenBLAS that reports one (none where /proc is absent).
+THREADS_PROBE = """
+import ctypes, json, os, sys
+at_numpy = []
+sys.addaudithook(lambda event, args: at_numpy.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+                 if event == "import" and args[0] == "numpy" and not at_numpy else None)
+import slabwald
+try:
+    with open("/proc/self/maps") as maps:
+        paths = sorted({w for w in maps.read().split() if "openblas" in os.path.basename(w)})
+except OSError:
+    paths = []
+blas = []
+for path in paths:
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(ctypes.CDLL(path), name, None)
+        if get is not None:
+            blas.append(get())
+            break
+print(json.dumps({"at_numpy": at_numpy[0], "blas": blas}))
+"""
+
+
+def _threads_probe(**env) -> dict:
+    clean = {k: v for k, v in os.environ.items()
+             if k not in ("SLABWALD_THREADS", *POOL_VARIABLES)}
+    src = os.path.dirname(os.path.dirname(slabwald.__file__))
+    out = subprocess.run([sys.executable, "-c", THREADS_PROBE], capture_output=True,
+                         text=True, check=True, env={**clean, **env, "PYTHONPATH": src})
+    return json.loads(out.stdout)
+
+
+def test_import_applies_the_thread_cap_before_numpy_loads():
+    """SLABWALD_THREADS caps the BLAS pool of `import slabwald`; an explicit
+    OPENBLAS_NUM_THREADS still wins, and a malformed cap is ignored."""
+    capped = _threads_probe(SLABWALD_THREADS="1")
+    assert capped["at_numpy"] == "1"
+    assert all(n == 1 for n in capped["blas"])
+    assert _threads_probe(SLABWALD_THREADS="1", OPENBLAS_NUM_THREADS="2")["at_numpy"] == "2"
+    assert _threads_probe(SLABWALD_THREADS="abc")["at_numpy"] is None
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_cli_malformed_thread_cap_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("SLABWALD_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["table1"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: slabwald")
+    assert f"SLABWALD_THREADS must be an integer, got {value!r}" in err
 
 
 def test_cli_divergent_elc_exit_code(tmp_path, capsys):

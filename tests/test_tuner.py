@@ -283,8 +283,9 @@ def test_default_alpha_policy_tops_the_real_space_step(case):
         built.append(m)
         return build_image_table(system_, spec_, m)
 
-    def no_fourier(system_, spec_, params_, compute_forces):
-        return np.zeros(params_.M + 1), np.zeros((params_.M + 1, system_.n, 3))
+    def no_fourier(system_, spec_, params_, compute_forces, levels):
+        return (np.zeros(params_.M + 1)[levels],
+                np.zeros((params_.M + 1, system_.n, 3))[levels])
 
     with mock.patch.object(ewald3d, "build_image_table", table), \
             mock.patch.object(ewald3d, "_fourier3d_core", no_fourier):
