@@ -48,7 +48,7 @@ def _build_parser() -> _Parser:
     add_solver(sub.add_parser("energy", help="total electrostatic energy"))
     add_solver(sub.add_parser("forces", help="per-particle forces"))
 
-    t = sub.add_parser("tune", help="select (M, L_z, s, alpha) for a tolerance")
+    t = sub.add_parser("tune", help="select (M, L_z, s, alpha, method) for a tolerance")
     t.add_argument("--eps", type=float, required=True)
     add_gamma(t)
     t.add_argument("--H", type=float, required=True)
@@ -134,6 +134,7 @@ def _cmd_tune(args) -> int:
     print("alpha  %.6g" % p.alpha)
     print("r_c    %.6g" % p.r_c)
     print("k_c    %.6g" % p.k_c)
+    print("method %s" % p.method)
     print("budget regime=%s g_u=%.6g g_d=%.6g" % (b.regime, b.g_u, b.g_d))
     for name in BUDGET_TERMS:
         marker = " (exceeds eps)" if name in result.exceeded else ""

@@ -149,6 +149,43 @@ def image_levels(spec: DielectricSpec, M: int, height: float) -> tuple[np.ndarra
     return scale, offset
 
 
+def lattice_period(spec: DielectricSpec, height: float) -> float | None:
+    """The z-period P of the whole image series, or None where it has none.
+
+    With |gamma_u| = |gamma_d| = 1 a reflection round trip (two levels) keeps
+    the images' magnitude and moves them by 2H, so the series repeats in z:
+    P = 2H when gamma_u = gamma_d (a cell holds the source at z and its image
+    gamma_d at -z), and P = 4H with mixed signs (then also gamma_u at 2H - z
+    and gamma_u gamma_d at 2H + z).
+    """
+    if abs(spec.gamma_u) != 1.0 or abs(spec.gamma_d) != 1.0:
+        return None
+    return (2.0 if spec.gamma_u == spec.gamma_d else 4.0) * height
+
+
+@functools.lru_cache(maxsize=8)
+def lattice_levels(spec: DielectricSpec, height: float) -> tuple[np.ndarray, np.ndarray]:
+    """One period of the image series at ideal walls, as an `image_levels` table.
+
+    The table is image_levels(spec, P/2H, height), P = `lattice_period`,
+    except at its top level: the two images there coincide modulo P, and one
+    period holds them once, so they are merged into the minus side at half
+    their summed scale (for gamma_u = gamma_d this is spec (0, gamma_d) at
+    M = 1).  Every other image of the series is one of these plus a multiple
+    of P.  Raises DomainError unless |gamma_u| = |gamma_d| = 1.  The arrays
+    are shared and read-only.
+    """
+    period = lattice_period(spec, height)
+    if period is None:
+        raise DomainError("the image series is periodic in z only with |gamma_u| = "
+                          f"|gamma_d| = 1, got ({spec.gamma_u:g}, {spec.gamma_d:g})")
+    scale, offset = image_levels(spec, round(period / (2.0 * height)), height)
+    scale = scale.copy()
+    scale[-1] = (0.0, 0.5 * scale[-1].sum())
+    scale.flags.writeable = False
+    return scale, offset
+
+
 def elc_offsets(M: int, height: float, L_z: float) -> np.ndarray:
     """Offsets a[l, image, side] of the inter-replica (ELC) coupling, shape (M+1, 2, 2).
 
@@ -177,6 +214,17 @@ def real_space_reach(r_c: float, cell: tuple[float, float, float]) -> tuple[int,
     lx, ly, h = cell
     return (math.floor(r_c / h) + 1, math.floor((r_c + lx / 2) / lx),
             math.floor((r_c + ly / 2) / ly))
+
+
+def z_replica_reach(r_c: float, period: float) -> int:
+    """z rings of a cell of z-period P that a pair within r_c can reach.
+
+    With z separations wrapped into [-P/2, P/2], replica n lies at least
+    |n|P - P/2 away, so no ring beyond floor((r_c + P/2)/P) holds a pair
+    within r_c; as `real_space_reach`'s rings, the count steps up at
+    r_c = (n + 1/2)P.
+    """
+    return math.floor((r_c + period / 2) / period)
 
 
 def real_space_step_edge(r_c: float, cell: tuple[float, float, float]) -> float:
@@ -230,10 +278,22 @@ def image_position(img: ImageCharge, system: ChargeSystem) -> np.ndarray:
     return np.array([x, y, img.parity * z + img.z_offset])
 
 
+# how `ewald3d.solve` sums the image series: the padded box, or the exact z-periodic lattice
+METHODS = ("padded", "lattice")
+
+
 @dataclass(frozen=True)
 class EwaldParams:
-    """A padded-box solve's configuration: the split alpha, s (r_c = s/alpha,
-    k_c = 2 s alpha), L_z, M and the YB/ELC switches; ewald2d reads alpha, s, M."""
+    """A solve's configuration: the split alpha, s (r_c = s/alpha, k_c = 2 s alpha),
+    L_z, M, the YB/ELC switches and the method; ewald2d reads alpha, s, M.
+
+    method "padded" sums images up to level M in a box of height L_z, with the
+    YB and ELC corrections where switched on.  method "lattice" sums the whole
+    series at ideal walls (|gamma| = 1 at both) as one z-period
+    (`core.lattice_period`); it needs both switches on, as the exact sum has
+    no inter-replica coupling and its dipole term is exactly YB, and it does
+    not read M or L_z, which keep the padded rule's values.
+    """
 
     alpha: float
     s: float
@@ -241,8 +301,14 @@ class EwaldParams:
     M: int
     include_yb: bool = True
     include_elc: bool = True
+    method: str = "padded"
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method == "lattice" and not (self.include_yb and self.include_elc):
+            raise DomainError("the lattice is the full sum: include_yb and include_elc "
+                              "must be on (switching one off needs method='padded')")
         if not (0 < self.alpha < math.inf and 0 < self.s < math.inf):
             raise DomainError("alpha and s must be positive and finite")
         if not math.isfinite(self.L_z):

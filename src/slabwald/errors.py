@@ -238,10 +238,13 @@ def trapezoid_remainder_estimate(params: EwaldParams, H: float) -> float:
 
 def total_budget(params: EwaldParams, spec: DielectricSpec,
                  geometry: tuple[float, float, float]) -> ErrorBudget:
-    """The error budget of the padded-box solve that runs at these parameters.
+    """The error budget of the solve that runs at these parameters.
 
-    With ELC on, the coupling terms elc_base and elc_image are 0 and
-    elc_truncation is `elc_truncation_energy` at the solve's cutoff,
+    A lattice params sums the whole, exactly z-periodic image series in its
+    own cell: its budget is the splitting error alone, with no image
+    truncation, no layer coupling or ELC cut and no k_z trapezoid remainder.
+    In the padded box, with ELC on, the coupling terms elc_base and elc_image
+    are 0 and elc_truncation is `elc_truncation_energy` at the solve's cutoff,
     `elc_cutoff` at the split's accuracy `splitting_error(params.s)`; then
     it raises DomainError unless L_z > (M+1)H.  With ELC off, elc_base and
     elc_image split `elc_energy_estimate` into its level-0 term and the rest.
@@ -250,6 +253,11 @@ def total_budget(params: EwaldParams, spec: DielectricSpec,
     mx = max(L_x, L_y)
     g_u = spec.gamma_u * math.exp(2.0 * math.pi * H / mx)
     g_d = spec.gamma_d * math.exp(2.0 * math.pi * H / mx)
+    regime = classify_regime(g_u, g_d)
+    if params.method == "lattice":
+        return ErrorBudget(splitting=splitting_error(params.s), image_truncation=0.0,
+                           elc_base=0.0, elc_image=0.0, trapezoidal=0.0, regime=regime,
+                           g_u=g_u, g_d=g_d)
     base = image = truncation = 0.0
     if params.include_elc:
         scale, _ = image_levels(spec, params.M, H)
@@ -266,7 +274,7 @@ def total_budget(params: EwaldParams, spec: DielectricSpec,
         elc_base=base,
         elc_image=image,
         trapezoidal=trapezoid_remainder_estimate(params, H),
-        regime=classify_regime(g_u, g_d),
+        regime=regime,
         g_u=g_u,
         g_d=g_d,
         elc_truncation=truncation,

@@ -10,11 +10,22 @@ only on the pairs within r_c, where ewald2d's reference evaluates every dense
 entry.  It forms the distances for a block of targets at a time, so its
 temporaries stay within CHUNK_ELEMENTS entries.
 
-Every term reads the image series from one per-level table,
-`core.image_levels` (scale and z offset per level and plus/minus side), with no
-loop over levels of its own.  `_terms` assembles the terms at the levels the
-caller reads into one `core.LevelSweep`: `solve_levels` asks for every level
-0..M, `solve` and `fourier3d_energy` for level M alone.  Real space, YB and ELC
+Between ideal walls (|gamma_u| = |gamma_d| = 1) the image series is exactly
+periodic in z, and `EwaldParams.method = "lattice"` sums all of it: the same
+terms run on one period of the series (`core.lattice_levels`) in a cell of
+height P = 2H or 4H (`core.lattice_period`), with tin-foil boundaries plus
+YB, which is there exactly the dipole term, and no ELC, as nothing couples
+across replicas.  Real space then also sums the z-replicas of period P, up
+to `core.z_replica_reach`.  M and L_z are not read.  This is the method of
+Hautman, Halley & Rhee (1989) and Takae & Onuki (2013) for charges between
+metal plates.  `_box` says which cell a parameter set evaluates.
+
+Every term reads the image series from one per-level table, the box's
+(`core.image_levels` in the padded box; scale and z offset per level and
+plus/minus side), with no loop over levels of its own.  `_terms` assembles
+the terms at the levels the caller reads into one `core.LevelSweep`:
+`solve_levels` asks for every level 0..M of the padded box, `solve` and
+`fourier3d_energy` for the top level alone.  Real space, YB and ELC
 report their cumulative values at every level, which are indexed; the
 reciprocal sum contracts its level structure factors at the asked levels only.
 
@@ -38,16 +49,19 @@ arrays are read-only.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc
 
 from .core import (ChargeSystem, DielectricSpec, DomainError, EnergyForces, EwaldParams,
-                   LevelSweep, check_solvable, elc_offsets, image_levels, real_space_reach)
+                   LevelSweep, check_solvable, elc_offsets, image_levels, lattice_levels,
+                   lattice_period, real_space_reach, z_replica_reach)
 from .errors import elc_cutoff, elc_gap, splitting_error
-from .ewald2d import SQRT_PI, _half_plane_hvectors, build_image_table, self_energy
+from .ewald2d import SQRT_PI, ImageTable, _half_plane_hvectors, build_image_table, self_energy
 
 # the fixed term floor of `elc_h_cutoff`; the solve cuts ELC at `errors.elc_cutoff`
 ELC_TERM_FLOOR = 1e-18
@@ -56,14 +70,46 @@ ELC_TERM_FLOOR = 1e-18
 CHUNK_ELEMENTS = 1 << 15
 
 
+class _Box(NamedTuple):
+    """The triply periodic cell a solve evaluates, and the image table in it."""
+
+    scale: np.ndarray      # (levels, 2) and offset (levels, 2), as `core.image_levels`
+    offset: np.ndarray
+    L_z: float             # the cell's height
+    period: float | None   # z-period of the real-space sum; None: one z-iteration
+
+
+def _box(spec: DielectricSpec, params: EwaldParams, H: float) -> _Box:
+    """The padded box of height L_z holding image_levels(spec, M, H), or the
+    lattice cell of height P holding `core.lattice_levels`, whose real space
+    also sums the z-replicas of period P.  Raises DomainError for a lattice on
+    walls without a z-period."""
+    if params.method == "lattice":
+        scale, offset = lattice_levels(spec, H)
+        period = lattice_period(spec, H)
+        return _Box(scale, offset, period, period)
+    return _Box(*image_levels(spec, params.M, H), params.L_z, None)
+
+
+def _lattice_image_table(system: ChargeSystem, box: _Box) -> ImageTable:
+    """The `ewald2d.ImageTable` of the lattice cell's levels, as `build_image_table`
+    forms it from `core.image_levels`."""
+    level, side = np.nonzero(box.scale)
+    parity = 1.0 - 2.0 * (level % 2)
+    z = parity[:, None] * system.positions[:, 2] + box.offset[level, side][:, None]
+    return ImageTable(level, box.scale[level, side], parity, z, box.scale.shape[0])
+
+
 def _real_space_pairs(system: ChargeSystem, table, params: EwaldParams,
-                      compute_forces: bool):
+                      compute_forces: bool, period: float | None = None):
     """Per-level real-space energies and forces, evaluated on the pairs within r_c.
 
     The (target i, block k, source j) separations of `table` (an
     `ewald2d.ImageTable`) are formed for blocks of targets, c at a time with
     c K N <= CHUNK_ELEMENTS (at least one target), and within a block once per
-    xy replica, with xy wrapped into the primary cell; erfc and the force
+    xy replica, with xy wrapped into the primary cell.  Given a z-period, z is
+    wrapped too, and every z-replica within `core.z_replica_reach` is summed
+    (outermost); without one there is a single z-iteration.  erfc and the force
     factor are evaluated only on the hits r <= r_c, without the self pairs
     (block 0, i == j, in the primary cell).  The hits are reduced per
     (level, target) and per (level, source) by `np.bincount` over
@@ -81,6 +127,7 @@ def _real_space_pairs(system: ChargeSystem, table, params: EwaldParams,
     dx0 = dx0 - system.lx * np.round(dx0 / system.lx)
     dy0 = dy0 - system.ly * np.round(dy0 / system.ly)
     _, mx_max, my_max = real_space_reach(r_c, system.cell)
+    mz_max = 0 if period is None else z_replica_reach(r_c, period)
     kn = table.z.shape[0] * n
     width = max(1, CHUNK_ELEMENTS // kn)  # targets per block
 
@@ -88,15 +135,19 @@ def _real_space_pairs(system: ChargeSystem, table, params: EwaldParams,
     f_rows = np.zeros((levels * n, 3)) if compute_forces else None
     for i0 in range(0, n, width):
         blk = slice(i0, i0 + width)
-        dz = pos[blk, None, None, 2] - table.z  # (c, K, N)
-        dz2 = dz * dz
-        for mx in range(-mx_max, mx_max + 1):
-            for my in range(-my_max, my_max + 1):
+        dz_cell = pos[blk, None, None, 2] - table.z  # (c, K, N)
+        if period is not None:
+            dz_cell -= period * np.round(dz_cell / period)
+        for mz in range(-mz_max, mz_max + 1):
+            dz = dz_cell + mz * period if mz else dz_cell
+            dz2 = dz * dz
+            for mx, my in itertools.product(range(-mx_max, mx_max + 1),
+                                            range(-my_max, my_max + 1)):
                 dx = dx0[blk] + mx * system.lx  # (c, N)
                 dy = dy0[blk] + my * system.ly
                 r2 = (dx * dx + dy * dy)[:, None, :] + dz2
                 hit = r2 <= r_c * r_c
-                if mx == 0 and my == 0:
+                if mx == my == mz == 0:
                     own = np.arange(len(dx))
                     hit[own, 0, own + i0] = False
                 flat = np.flatnonzero(hit)  # ((i - i0) K + k) N + j
@@ -123,18 +174,18 @@ def _real_space_pairs(system: ChargeSystem, table, params: EwaldParams,
     return energies, (f_rows.reshape(levels, n, 3) if compute_forces else None)
 
 
-def _level_structure_factors(spec: DielectricSpec, M: int, kz: np.ndarray, H: float):
-    """S_A, S_B at every cumulative truncation level 0..M.
+def _level_structure_factors(box: _Box, kz: np.ndarray):
+    """S_A, S_B at every cumulative truncation level of the box's image table.
 
     The image-aware structure factor factorizes as
     rho_tilde(k) = S_A(k_z) conj(rho(k)) + S_B(k_z) lambda(k), where lambda is
     rho evaluated at (-k_x, -k_y, k_z): even image levels flip nothing in z,
     odd levels reflect z and so pair with the in-plane-conjugated sum.
     """
-    scale, offset = image_levels(spec, M, H)
+    scale, offset = box.scale, box.offset
     terms = (scale[:, 0, None] * np.exp(-1j * kz * offset[:, 0, None])
              + scale[:, 1, None] * np.exp(-1j * kz * offset[:, 1, None]))
-    odd = (np.arange(M + 1) % 2 == 1)[:, None]
+    odd = (np.arange(scale.shape[0]) % 2 == 1)[:, None]
     sa = np.cumsum(np.where(odd, 0.0, terms), axis=0)
     sb = np.cumsum(np.where(odd, terms, 0.0), axis=0)
     return sa, sb
@@ -155,8 +206,9 @@ class _Chunk:
 class _Reciprocal:
     """The position-independent part of the reciprocal sum at one parameter set."""
 
+    L_z: float           # the height of the box the modes live in (`_box`)
     kz: np.ndarray       # (NZ,) the k_z grid, symmetric about 0
-    sa: np.ndarray       # (M+1, NZ) `_level_structure_factors`
+    sa: np.ndarray       # (levels, NZ) `_level_structure_factors`
     sb: np.ndarray
     mx_max: int          # the x phase table holds m_x = 0..mx_max
     my_max: int          # the y phase table holds m_y = -my_max..my_max
@@ -204,7 +256,8 @@ _mode_plan = functools.lru_cache(maxsize=4)(_ModePlan)
 
 def _reciprocal_plan(cell: tuple[float, float, float], spec: DielectricSpec,
                      params: EwaldParams, n: int, chunk_elements: int) -> _Reciprocal:
-    """The k_z grid, S_A and S_B, and the chunks of in-plane blocks.
+    """The k_z grid, S_A and S_B, and the chunks of in-plane blocks, in the
+    box of `_box` (the padded box, or the lattice cell).
 
     The blocks are ordered by |h| (widest k_z column first, h = 0 leading)
     and cut into chunks of at most chunk_elements complex elements, or one
@@ -213,11 +266,14 @@ def _reciprocal_plan(cell: tuple[float, float, float], spec: DielectricSpec,
     live, are even in k_z, so only their k_z >= 0 half is kept.
     """
     lx, ly, H = cell
-    lz, alpha, k_c = params.L_z, params.alpha, params.k_c
+    box = _box(spec, params, H)
+    lz, alpha, k_c = box.L_z, params.alpha, params.k_c
+    if lz < H:
+        raise DomainError("padded height L_z must be at least the slab height H")
     nz_max = int(math.floor(k_c * lz / (2 * math.pi)))
     kz_index = np.arange(-nz_max, nz_max + 1)
     kz = 2 * math.pi * kz_index / lz
-    sa, sb = _level_structure_factors(spec, params.M, kz, H)
+    sa, sb = _level_structure_factors(box, kz)
 
     blocks = np.vstack([[0.0, 0.0], _half_plane_hvectors(lx, ly, k_c)])
     hrho2 = blocks[:, 0] * blocks[:, 0] + blocks[:, 1] * blocks[:, 1]
@@ -248,15 +304,16 @@ def _reciprocal_plan(cell: tuple[float, float, float], spec: DielectricSpec,
     arrays = [kz, sa, sb] + [a for c in chunks for a in (c.ix, c.iy, c.h, c.coef)]
     for arr in arrays:
         arr.flags.writeable = False
-    return _Reciprocal(kz, sa, sb, int(m[:, 0].max()), my_max, tuple(chunks))
+    return _Reciprocal(lz, kz, sa, sb, int(m[:, 0].max()), my_max, tuple(chunks))
 
 
 def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
                     compute_forces: bool, levels=slice(None)):
     """k != 0 reciprocal-space sum: cumulative (energies, forces) at `levels`.
 
-    `levels` indexes the levels 0..M (a slice, or a sequence of levels); only
-    those rows of S_A and S_B are contracted.  Modes are enumerated as in-plane
+    `levels` indexes the levels of the box's image table (`_box`: 0..M in the
+    padded box), as a slice or a sequence of levels; only those rows of S_A
+    and S_B are contracted.  Modes are enumerated as in-plane
     blocks (one of each +-h pair) times the k_z column |k| <= k_c allows, in
     the chunks of the parameters' cached `_mode_plan`; the h = 0 block carries
     both signs of k_z at half weight (its two halves are conjugates), so every
@@ -270,13 +327,10 @@ def _fourier3d_core(system: ChargeSystem, spec: DielectricSpec, params: EwaldPar
     half is also their k_z mirror and conjugate.  The k_z and y phase tables
     are built from their k >= 0 halves, as e^{-ikx} = conj(e^{ikx}).
     """
-    lx, ly, H = system.cell
-    lz = params.L_z
-    if lz < H:
-        raise DomainError("padded height L_z must be at least the slab height H")
+    lx, ly, _ = system.cell
     plan = _mode_plan(system.cell, spec, params, system.n, CHUNK_ELEMENTS).reciprocal
     kz, sa, sb = plan.kz, plan.sa[levels], plan.sb[levels]
-    vol = lx * ly * lz
+    vol = lx * ly * plan.L_z
     pos = system.positions
     q = system.charges
     n = system.n
@@ -337,11 +391,12 @@ def _mirror_phases(half: np.ndarray) -> np.ndarray:
 
 def fourier3d_energy(system: ChargeSystem, spec: DielectricSpec,
                      params: EwaldParams, compute_forces: bool = True):
-    """Padded-box reciprocal energy against image structure factors, plus self term.
+    """Reciprocal energy against image structure factors, plus self term.
 
-    Returns (energy, forces).
+    The sum of the box `solve` evaluates: the padded box at level M, or the
+    lattice cell.  Returns (energy, forces).
     """
-    energies, forces = _fourier3d_core(system, spec, params, compute_forces, [params.M])
+    energies, forces = _fourier3d_core(system, spec, params, compute_forces, [-1])
     f = forces[0] if compute_forces else np.zeros((system.n, 3))
     return float(energies[0]) + self_energy(system, params.alpha), f
 
@@ -356,17 +411,27 @@ def yb_correction(system: ChargeSystem, spec: DielectricSpec, M: int, L_z: float
     beta = (-1)^l (gamma_+ + gamma_-).  Returns (energies, forces) over
     cumulative levels 0..M; forces is None without compute_forces.
     """
-    lx, ly, H = system.cell
-    pref = 2.0 * math.pi / (lx * ly * L_z)
+    return _yb_levels(system, _Box(*image_levels(spec, M, system.height), L_z, None),
+                      compute_forces)
+
+
+def _yb_levels(system: ChargeSystem, box: _Box, compute_forces: bool):
+    """`yb_correction` over the levels of the box's image table, in its volume.
+
+    In the lattice cell it is exactly the dipole term that turns the cell's
+    tin-foil sum into the layer-by-layer sum of the image series.
+    """
+    lx, ly, _ = system.cell
+    pref = 2.0 * math.pi / (lx * ly * box.L_z)
     q = system.charges
     a = float(np.sum(q * system.positions[:, 2]))
-    scale, offset = image_levels(spec, M, H)
-    beta = (1.0 - 2.0 * (np.arange(M + 1) % 2)) * scale.sum(axis=1)
+    scale, offset = box.scale, box.offset
+    beta = (1.0 - 2.0 * (np.arange(scale.shape[0]) % 2)) * scale.sum(axis=1)
     b = beta * a + (scale * offset).sum(axis=1) * float(np.sum(q))
     e_lv = np.cumsum(pref * a * b)
     f_lv = None
     if compute_forces:
-        f_lv = np.zeros((M + 1, system.n, 3))
+        f_lv = np.zeros((scale.shape[0], system.n, 3))
         # dU/dz_i = pref (q_i B + A q_i beta); beta is d(b_i)/dz_i
         f_lv[:, :, 2] = -pref * (q * b[:, None] + a * q * beta[:, None])
         f_lv = np.cumsum(f_lv, axis=0)
@@ -480,36 +545,46 @@ def _elc_sum(system: ChargeSystem, plan: _Elc, compute_forces: bool):
 
 def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
            compute_forces: bool, levels) -> LevelSweep:
-    """One padded-box evaluation, every term at `levels`.
+    """One evaluation of the box `_box` builds, every term at `levels`.
 
-    `levels` indexes the levels 0..M (a slice, or a sequence of levels), and
-    row r of the returned sweep is the r-th level it selects.  Only the
-    reciprocal sum costs less for fewer levels; the other terms are indexed.
-    Raises DomainError for an input outside the solvers' contract
-    (`core.check_solvable`) and, with ELC on, unless L_z > (M+1)H
-    (`errors.elc_gap`).  ELC runs first, so that check comes before the
-    costlier terms.
+    `levels` indexes the levels of the box's image table (0..M in the padded
+    box; a slice, or a sequence of levels), and row r of the returned sweep is
+    the r-th level it selects.  Only the reciprocal sum costs less for fewer
+    levels; the other terms are indexed.  The lattice cell runs the padded
+    box's terms on its own table, height and z-period, with YB (its dipole
+    term) and without ELC (it has no inter-replica coupling).  Raises
+    DomainError for an input outside the solvers' contract
+    (`core.check_solvable`), for a lattice on walls without a z-period and,
+    with ELC on in the padded box, unless L_z > (M+1)H (`errors.elc_gap`).
+    ELC runs first, so that check comes before the costlier terms.
     """
     check_solvable(system, spec)
-    if params.include_elc:
+    box = _box(spec, params, system.height)
+    elc = params.include_elc and box.period is None
+    if elc:
         e_elc, f_elc = elc_correction(system, spec, params, compute_forces=compute_forces)
-    # no pair past level m_real lies within r_c: its rows are 0
-    m_real = min(params.M, real_space_reach(params.r_c, system.cell)[0])
-    table = build_image_table(system, spec, m_real)
-    e_real, f_real = _real_space_pairs(system, table, params, compute_forces)
+    top = box.scale.shape[0] - 1
+    if box.period is None:
+        # no pair past level m_real lies within r_c: its rows are 0
+        m_real = min(top, real_space_reach(params.r_c, system.cell)[0])
+        table = build_image_table(system, spec, m_real)
+    else:
+        m_real, table = top, _lattice_image_table(system, box)
+    e_real, f_real = _real_space_pairs(system, table, params, compute_forces, box.period)
     e_four, f_four = _fourier3d_core(system, spec, params, compute_forces, levels)
     # repeats level m_real above it
-    upto = np.minimum(np.arange(params.M + 1), m_real)[levels]
+    upto = np.minimum(np.arange(top + 1), m_real)[levels]
     energies = {"real": np.cumsum(e_real)[upto], "fourier3d": e_four,
                 "self": np.full(len(e_four), self_energy(system, params.alpha))}
     forces = [np.cumsum(f_real, axis=0)[upto], f_four] if compute_forces else []
     if params.include_yb:
-        e_yb, f_yb = yb_correction(system, spec, params.M, params.L_z,
-                                   compute_forces=compute_forces)
+        e_yb, f_yb = (yb_correction(system, spec, params.M, params.L_z,
+                                    compute_forces=compute_forces)
+                      if box.period is None else _yb_levels(system, box, compute_forces))
         energies["yb"] = e_yb[levels]
         if compute_forces:
             forces.append(f_yb[levels])
-    if params.include_elc:
+    if elc:
         energies["elc"] = e_elc[levels]
         if compute_forces:
             forces.append(f_elc[levels])
@@ -519,13 +594,17 @@ def _terms(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
 
 def solve(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
           compute_forces: bool = True) -> EnergyForces:
-    """Full padded-box solve: real + reciprocal + self, + YB and + ELC where
+    """Full solve: real + reciprocal + self, + YB and + ELC where
     params.include_yb and params.include_elc switch them on.
 
+    method "padded" sums the images up to level M in the box of height L_z;
+    method "lattice" sums the whole series at |gamma_u| = |gamma_d| = 1 as
+    one z-period (`core.lattice_levels`), YB and ELC being part of it.
     Raises DomainError for an input outside `core.check_solvable`'s contract,
-    and when ELC is on and L_z <= (M+1)H.
+    for a lattice on other walls, and when ELC is on in the padded box and
+    L_z <= (M+1)H.
     """
-    return _terms(system, spec, params, compute_forces, [params.M]).at(0)
+    return _terms(system, spec, params, compute_forces, [-1]).at(0)
 
 
 def solve_levels(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams,
@@ -533,6 +612,10 @@ def solve_levels(system: ChargeSystem, spec: DielectricSpec, params: EwaldParams
     """One padded-box evaluation reported at every truncation level 0..params.M.
 
     Used for sweeps over M at the cost of a single converged solve.  Raises
-    DomainError as `solve` does.
+    DomainError as `solve` does, and for a lattice params: it has no
+    truncation levels, so per-level sums belong to the padded box.
     """
+    if params.method != "padded":
+        raise DomainError("solve_levels sums the padded box's levels: it needs "
+                          f"method='padded', got {params.method!r}")
     return _terms(system, spec, params, compute_forces, slice(None))

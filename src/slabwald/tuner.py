@@ -3,10 +3,12 @@
 Given a tolerance, the steps pick (in order) the image-series truncation level,
 the padded box height, and the splitting (s, alpha), each by inverting the
 corresponding closed-form error estimate: M and L_z are rounded up, and s is
-the smallest integer that meets it.  `select_all` runs the steps whose fields
-the caller does not pin (a non-integer s is a pin), and returns the
-`EwaldParams` that `ewald3d.solve` runs, YB/ELC switches included, with that
-solve's budget.
+the smallest integer that meets it.  A last step picks the method from the
+walls: the exact z-periodic lattice at |gamma_u| = |gamma_d| = 1 with both
+corrections on, the padded box otherwise.  `select_all` runs the steps whose
+fields the caller does not pin (a non-integer s is a pin), and returns the
+`EwaldParams` that `ewald3d.solve` runs, YB/ELC switches and method included,
+with that solve's budget.
 
 At fixed s the split is a choice of r_c = s/alpha, and it trades real-space
 against reciprocal work.  The real-space distance arrays depend on r_c only
@@ -24,7 +26,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import DielectricSpec, DomainError, EwaldParams, real_space_step_edge
+from .core import (DielectricSpec, DomainError, EwaldParams, lattice_period,
+                   real_space_step_edge)
 from .errors import BUDGET_TERMS, ErrorBudget, splitting_error, total_budget
 
 # relative gap kept below a real-space step edge; it dwarfs the rounding of s / alpha
@@ -147,6 +150,17 @@ def _select_s(req: ToleranceRequest) -> int:
     return s
 
 
+def select_method(req: ToleranceRequest, include_yb: bool, include_elc: bool) -> str:
+    """Last step: "lattice" iff |gamma_u| = |gamma_d| = 1 and both corrections are on.
+
+    There the image series is exactly periodic in z (`core.lattice_period`),
+    and one period in a cell of height 2H or 4H replaces M levels in a box of
+    height L_z.  Anything else, or either switch off, keeps the padded box.
+    """
+    ideal = lattice_period(req.spec, req.geometry[2]) is not None
+    return "lattice" if ideal and include_yb and include_elc else "padded"
+
+
 @dataclass(frozen=True)
 class TuneResult:
     params: EwaldParams
@@ -158,15 +172,19 @@ def select_all(req: ToleranceRequest,
                alpha_policy: Callable[[ToleranceRequest, float], float] | None = None,
                *, M: int | None = None, L_z: float | None = None,
                s: float | None = None, alpha: float | None = None,
-               include_yb: bool = True, include_elc: bool = True) -> TuneResult:
+               include_yb: bool = True, include_elc: bool = True,
+               method: str | None = None) -> TuneResult:
     """Tune the parameters that are not pinned, and report the budget of the solve.
 
     The keyword pins are named after the `EwaldParams` fields.  A pinned value
     is kept as given, and only the remaining steps run, in order: M, L_z(M),
-    s (the smallest integer), then alpha (`select_alpha`, with its a_min
-    floor; `alpha_policy` replaces the default policy).  The budget is
-    `total_budget` of the returned params, which `ewald3d.solve` runs as they
-    are, switches included.  Budget fields above epsilon are flagged
+    s (the smallest integer), alpha (`select_alpha`, with its a_min floor;
+    `alpha_policy` replaces the default policy), then the method
+    (`select_method`).  A lattice keeps the M and L_z of the padded rule,
+    which it does not read, so method="padded" returns the padded box with
+    the same M, L_z, s and alpha.  The budget is `total_budget` of the
+    returned params, which `ewald3d.solve` runs as they are, switches and
+    method included.  Budget fields above epsilon are flagged
     informationally (magnitudes with unit constants routinely exceed a tight
     tolerance by a bounded constant; the achievement criterion is
     order-of-magnitude).
@@ -179,8 +197,10 @@ def select_all(req: ToleranceRequest,
         s = _select_s(req)
     if alpha is None:
         alpha = select_alpha(req, s, L_z, M, alpha_policy)
+    if method is None:
+        method = select_method(req, include_yb, include_elc)
     params = EwaldParams(alpha=alpha, s=s, L_z=float(L_z), M=M, include_yb=include_yb,
-                         include_elc=include_elc)
+                         include_elc=include_elc, method=method)
     budget = total_budget(params, req.spec, req.geometry)
     exceeded = tuple(name for name in BUDGET_TERMS
                      if getattr(budget, name) > req.epsilon)

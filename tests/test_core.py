@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from slabwald.core import (MIN_SEPARATION, ChargeSystem, DielectricSpec, DomainError,
                            EnergyForces, EwaldParams, check_solvable, image_levels,
                            image_position, image_scales, image_series,
-                           image_z_offsets, read_system, reflection_factors,
-                           validate, write_system)
+                           image_z_offsets, lattice_levels, lattice_period, read_system,
+                           reflection_factors, validate, write_system, z_replica_reach)
 from slabwald.ewald2d import build_image_table, energy_icm
 from slabwald.ewald3d import solve
 from slabwald.harness import gen_system
@@ -239,6 +239,66 @@ def test_ewald_params_m_must_be_an_integer(small_system):
     e_int = solve(small_system, spec, EwaldParams(alpha=1.0, s=3.0, L_z=20.0, M=3),
                   compute_forces=False).energy
     assert e_np == e_int
+
+
+@pytest.mark.parametrize("kwargs", [{"method": "ewald"}, {"method": "Lattice"},
+                                    {"method": "lattice", "include_yb": False},
+                                    {"method": "lattice", "include_elc": False}],
+                         ids=["unknown", "case", "lattice-no-yb", "lattice-no-elc"])
+def test_ewald_params_method_contract(kwargs):
+    """method is "padded" (the default) or "lattice", and the lattice is the
+    full sum: it refuses either correction switched off."""
+    assert EwaldParams(alpha=1.0, s=3.0, L_z=20.0, M=3).method == "padded"
+    EwaldParams(alpha=1.0, s=3.0, L_z=20.0, M=3, method="lattice")
+    with pytest.raises(DomainError, match="method|include_yb"):
+        EwaldParams(alpha=1.0, s=3.0, L_z=20.0, M=3, **kwargs)
+
+
+@pytest.mark.parametrize("gu,gd,period", [(1.0, 1.0, 2.0), (-1.0, -1.0, 2.0),
+                                          (1.0, -1.0, 4.0), (-1.0, 1.0, 4.0),
+                                          (0.6, 0.6, None), (1.0, 0.0, None),
+                                          (-1.0, 0.999, None)])
+def test_lattice_holds_one_period_of_the_image_series(gu, gd, period):
+    """Every image of the series up to level 40 is one of the lattice table's
+    entries plus a multiple of P, and each entry's scale is the sum over the
+    images it stands for per period.  Walls without a period have no table."""
+    spec, h = DielectricSpec(gu, gd), 0.75
+    if period is None:
+        assert lattice_period(spec, h) is None
+        with pytest.raises(DomainError, match="periodic"):
+            lattice_levels(spec, h)
+        return
+    p = period * h
+    assert lattice_period(spec, h) == p
+    scale, offset = lattice_levels(spec, h)
+    assert not (scale.flags.writeable or offset.flags.writeable)
+    # (parity, offset mod P) -> summed scale, over one period of levels
+    cell = {}
+    for lvl in range(scale.shape[0]):
+        for side in (0, 1):
+            if scale[lvl, side]:
+                key = (lvl % 2, offset[lvl, side] % p)
+                cell[key] = cell.get(key, 0.0) + scale[lvl, side]
+    assert len(cell) == round(2 * p / (2 * h))  # 2 copies per 2H
+    series_scale, series_offset = image_levels(spec, 40, h)
+    for lvl in range(1, 41):
+        for side in (0, 1):
+            key = (lvl % 2, series_offset[lvl, side] % p)
+            assert cell[key] == series_scale[lvl, side]
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_c=st.floats(1e-3, 50.0), period=st.floats(1e-2, 10.0), d=st.floats(-30.0, 30.0))
+def test_no_pair_beyond_the_z_replica_reach_lies_within_the_cutoff(r_c, period, d):
+    """A z separation wrapped as the real-space sum wraps it lies farther than
+    r_c in every ring beyond `z_replica_reach`, and some separation lies
+    within r_c in the last ring counted."""
+    reach = z_replica_reach(r_c, period)
+    wrapped = d - period * np.round(d / period)
+    for ring in (reach + 1, reach + 2, -reach - 1, -reach - 2):
+        assert abs(wrapped + ring * period) > r_c
+    if reach:
+        assert abs(period / 2 - reach * period) <= r_c
 
 
 def test_energy_forces_breakdown_consistency():

@@ -210,6 +210,21 @@ def test_total_budget_assembly():
         total_budget(EwaldParams(alpha=0.72, s=4.0, L_z=10.0, M=9), spec, geometry)
 
 
+@pytest.mark.parametrize("gu,gd", [(-1.0, -1.0), (1.0, -1.0)], ids=["metal", "mixed"])
+def test_total_budget_of_the_lattice_is_the_splitting_error(gu, gd):
+    """The lattice sums the whole, exactly periodic series: no image truncation,
+    no layer coupling or ELC cut, no trapezoid remainder; the regime is still
+    reported."""
+    spec, geometry = DielectricSpec(gu, gd), (10.0, 10.0, 1.0)
+    padded = EwaldParams(alpha=5 / 3, s=5.0, L_z=76.0, M=38)
+    b = total_budget(dataclasses.replace(padded, method="lattice"), spec, geometry)
+    assert b.total == b.splitting == splitting_error(5.0)
+    assert (b.image_truncation, b.elc_base, b.elc_image, b.elc_truncation,
+            b.trapezoidal) == (0.0,) * 5
+    ref = total_budget(padded, spec, geometry)
+    assert (b.regime, b.g_u, b.g_d) == (ref.regime, ref.g_u, ref.g_d)
+
+
 def test_elc_truncation_hand_sum():
     """One image above the source: gamma_u = 0.5, gamma_d = 0, M = 1.
 

@@ -20,8 +20,8 @@ from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParam
                            real_space_reach)
 from slabwald.errors import (elc_cutoff, elc_truncation_energy, elc_truncation_force,
                              splitting_error, trapezoid_remainder_estimate)
-from slabwald.ewald2d import (_half_plane_hvectors, _real_space_levels, build_image_table,
-                              energy_icm, forces_fd_check)
+from slabwald.ewald2d import (ImageTable, _half_plane_hvectors, _real_space_levels,
+                              build_image_table, energy_icm, forces_fd_check)
 from slabwald.harness import gen_system
 from slabwald.tuner import ToleranceRequest, select_all
 from slabwald.ewald3d import (elc_correction, elc_h_cutoff, fourier3d_energy, solve,
@@ -812,7 +812,11 @@ def replica_ring_cases(draw):
     wall; gamma_u and gamma_d with exactly 0 and +-1 among them, so that some
     levels have no block; r_c from min(L_x, L_y)/2 to 1.5 max(L_x, L_y), so
     that xy replica rings are summed and one (i, k, j) can lie within r_c in
-    two replicas; the table holds levels 0..M, M = 0..8.
+    two replicas; the table holds levels 0..M, M = 0..8.  A z-periodic case
+    instead puts the system between ideal walls (each sign pair) in the
+    lattice cell of period 2H or 4H, whose z-replica rings are summed too.
+    Returns (system, spec, params, table, period), period None for one
+    z-iteration.
     """
     n = draw(st.integers(2, 6))
     lx, ly = draw(st.floats(2.0, 4.0)), draw(st.floats(2.0, 4.0))
@@ -825,7 +829,12 @@ def replica_ring_cases(draw):
                   for _ in range(n - 1)])
     system = ChargeSystem(pos, np.append(q, -q.sum()), (lx, ly, h))
     gamma = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
-    spec = DielectricSpec(draw(gamma), draw(gamma))
+    z_periodic = draw(st.booleans())
+    if z_periodic:
+        spec = DielectricSpec(*draw(st.sampled_from([(1.0, 1.0), (-1.0, -1.0),
+                                                     (1.0, -1.0), (-1.0, 1.0)])))
+    else:
+        spec = DielectricSpec(draw(gamma), draw(gamma))
     try:
         check_solvable(system, spec)
     except DomainError:  # hypothesis can draw two charges at one point
@@ -833,7 +842,24 @@ def replica_ring_cases(draw):
     r_c = draw(st.floats(min(lx, ly) / 2, 1.5 * max(lx, ly)))
     alpha = draw(st.floats(0.5, 3.0))
     m = draw(st.integers(0, 8))
-    return system, spec, EwaldParams(alpha, r_c * alpha, (m + 2) * h, m)
+    if z_periodic:
+        params = EwaldParams(alpha, r_c * alpha, (m + 2) * h, m, method="lattice")
+        box = ewald3d._box(spec, params, h)
+        return system, spec, params, ewald3d._lattice_image_table(system, box), box.period
+    params = EwaldParams(alpha, r_c * alpha, (m + 2) * h, m)
+    return system, spec, params, build_image_table(system, spec, m), None
+
+
+def _z_replicated(table, period, r_c):
+    """The table's blocks at every z shift n P that can hold a pair within
+    r_c, unshifted first (so block 0 is still the sources themselves): the
+    dense sum on it is the z-periodic real space."""
+    reach = math.ceil((r_c + np.ptp(table.z) + period) / period)
+    shifts = period * np.array([0] + [n for k in range(1, reach + 1) for n in (-k, k)])
+    copies = len(shifts)
+    return ImageTable(np.tile(table.level, copies), np.tile(table.weight, copies),
+                      np.tile(table.parity, copies),
+                      np.concatenate([table.z + shift for shift in shifts]), table.n_levels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -841,13 +867,14 @@ def replica_ring_cases(draw):
 def test_real_space_pairs_match_dense_reference(case):
     """ewald3d's pair-list real space against ewald2d's dense sum, level by level.
 
+    In the lattice cell the dense sum runs on the table's explicit z-replicas.
     The energy-only path gives the same energies bit for bit and no forces.
     """
-    system, spec, params = case
-    table = build_image_table(system, spec, params.M)
-    e, f = ewald3d._real_space_pairs(system, table, params, True)
-    _assert_real_space_matches_dense(system, table, params, e, f)
-    e_only, no_f = ewald3d._real_space_pairs(system, table, params, False)
+    system, spec, params, table, period = case
+    e, f = ewald3d._real_space_pairs(system, table, params, True, period)
+    dense = table if period is None else _z_replicated(table, period, params.r_c)
+    _assert_real_space_matches_dense(system, dense, params, e, f)
+    e_only, no_f = ewald3d._real_space_pairs(system, table, params, False, period)
     assert no_f is None
     np.testing.assert_array_equal(e_only, e)
 

@@ -543,6 +543,41 @@ def test_cli_tune_and_table(capsys):
     assert table[1].split()[:4] == ["0.6", "0.0001", "3", "9"]
 
 
+def test_cli_runs_the_lattice_between_ideal_walls(tmp_path, capsys):
+    """tune names the method; energy and forces at |gamma| = 1 solve the lattice,
+    --no-yb or --no-elc keeps the padded box, and table1 keeps
+    the padded rule's M and L_z on its gamma = 1 rows."""
+    tune = ["tune", "--eps", "1e-10", "--H", "1", "--Lx", "10", "--Ly", "10"]
+    for walls, method in ((("-1", "-1"), "lattice"), (("1", "-1"), "lattice"),
+                          (("0.6", "0.6"), "padded")):
+        assert cli_main(tune + ["--gamma-u", walls[0], "--gamma-d", walls[1]]) == 0
+        assert f"method {method}\n" in capsys.readouterr().out
+
+    path = tmp_path / "sys.txt"
+    write_system(path, gen_system(1))
+    system, spec = read_system(path), DielectricSpec(-1.0, -1.0)
+    req = ToleranceRequest(1e-10, system.cell, spec)
+    walls = ["--solver", "ewald3d", "--gamma-u", "-1", "--gamma-d", "-1", "--eps", "1e-10"]
+    cases = {(): select_all(req).params,
+             ("--no-elc",): select_all(req, include_elc=False).params,
+             ("--no-yb",): select_all(req, include_yb=False).params}
+    assert [p.method for p in cases.values()] == ["lattice", "padded", "padded"]
+    for extra, params in cases.items():
+        assert cli_main(["energy", str(path), *walls, *extra]) == 0
+        out, err = capsys.readouterr()
+        assert float(out.split()[1]) == solve(system, spec, params).energy
+        assert (" elc " in out) == (params.method == "padded" and params.include_elc)
+        assert (err == "") == (extra != ("--no-elc",))  # the coupling the padding leaves
+    assert cli_main(["forces", str(path), *walls]) == 0
+    forces = np.array([line.split() for line in capsys.readouterr().out.splitlines()], float)
+    np.testing.assert_array_equal(forces, solve(system, spec, cases[()]).forces)
+
+    assert cli_main(["table1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[4:]]
+    assert rows == [["1", "0.0001", "3", "16", "32"], ["1", "1e-08", "4", "31", "62"],
+                    ["1", "1e-12", "5", "45", "90"]]
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "sweeps.cfg"
     cfg.write_text("[quick]\ngamma_u = 0.6\ngamma_d = 0.6\nsweep = M\n"

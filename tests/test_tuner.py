@@ -121,7 +121,7 @@ def test_alpha_floor_meets_epsilon_in_a_thin_metal_box():
     system = gen_system(1)
     m = select_M(req)
     assert m == 38
-    p = select_all(req, L_z=40.0, M=m).params
+    p = select_all(req, L_z=40.0, M=m, method="padded").params
     assert (p.s, p.alpha) == (5, math.sqrt(math.log(1e10)))
     res = ewald3d.solve(system, spec, p, compute_forces=False)
     ref = energy_icm(system, spec,
@@ -133,13 +133,24 @@ def test_alpha_floor_meets_epsilon_in_a_thin_metal_box():
 @pytest.mark.parametrize("gamma,eps", [(0.6, 1e-8), (0.6, 1e-4), (-1.0, 1e-10)],
                          ids=["md_dense", "mc_loose", "metal_tight"])
 def test_select_all_budget_describes_the_default_solve(gamma, eps):
-    """With ELC on, the budget reports ELC's cut, not the coupling ELC removes.
+    """With ELC on, the padded box's budget reports ELC's cut, not the coupling
+    ELC removes.
 
-    On the benchmark's three tuned solve workloads the ELC terms stay below
-    epsilon, and nothing ELC-related is flagged.
+    On the benchmark's three tuned solve workloads, with the padded box pinned,
+    the ELC terms stay below epsilon, and nothing ELC-related is flagged.  The
+    default solve is that padded box, except between the metal walls, where
+    it is the lattice at the same alpha and s, with the splitting error as
+    its whole budget.
     """
     req = ToleranceRequest(eps, GEOM, DielectricSpec(gamma, gamma))
-    res = select_all(req)
+    res = select_all(req, method="padded")
+    default = select_all(req)
+    if gamma == -1.0:
+        assert default.params == dataclasses.replace(res.params, method="lattice")
+        assert default.budget.total == default.budget.splitting == res.budget.splitting
+        assert default.exceeded == ()
+    else:
+        assert default == res
     b = res.budget
     assert b.elc_base == b.elc_image == 0.0
     assert 0.0 < b.elc_truncation <= b.splitting <= eps
@@ -154,10 +165,11 @@ def test_select_all_keeps_every_pin_and_runs_no_step():
     req = ToleranceRequest(1e-8, GEOM, DielectricSpec(0.6, 0.6))
     tuned = select_all(req)
     p = tuned.params
-    steps = ("select_M", "select_Lz", "_select_s", "select_alpha")
+    steps = ("select_M", "select_Lz", "_select_s", "select_alpha", "select_method")
     with mock.patch.multiple(tuner, **{name: mock.DEFAULT for name in steps}) as called:
         pinned = select_all(req, M=p.M, L_z=p.L_z, s=p.s, alpha=p.alpha,
-                            include_yb=p.include_yb, include_elc=p.include_elc)
+                            include_yb=p.include_yb, include_elc=p.include_elc,
+                            method=p.method)
     assert not any(m.called for m in called.values())
     assert pinned == tuned
 
@@ -315,15 +327,20 @@ def test_real_space_step_edge_is_the_first_cutoff_that_steps_up():
     assert default_alpha_policy(req, 4) == 4 / (3.0 * (1 - 1e-9))
 
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-10])
-def test_select_all_meets_epsilon_between_metal_walls(small_system, eps):
-    """gamma = -1 gives the tallest padding, where the policy moves alpha most.
+@pytest.mark.parametrize("eps,method", [(1e-6, "padded"), (1e-10, "padded"),
+                                        (1e-6, "lattice"), (1e-10, "lattice")],
+                         ids=["1e-06", "1e-10", "lattice-1e-06", "lattice-1e-10"])
+def test_select_all_meets_epsilon_between_metal_walls(small_system, eps, method):
+    """gamma = -1 gives the tallest padding, where the policy moves alpha most,
+    and is where select_all picks the lattice unless the padded box is pinned.
 
     select_all's solve matches the converged ewald2d reference within 10 eps,
-    in energy and in forces (max |dF_i| over max |F_ref,i|).
+    in energy and in forces (max |dF_i| over max |F_ref,i|), with either method.
     """
     spec = DielectricSpec(-1.0, -1.0)
-    tuned = select_all(ToleranceRequest(eps, GEOM, spec)).params
+    pin = {"method": "padded"} if method == "padded" else {}
+    tuned = select_all(ToleranceRequest(eps, GEOM, spec), **pin).params
+    assert tuned.method == method
     ref = energy_icm(small_system, spec,
                      EwaldParams(alpha=default_alpha(6.0, GEOM), s=6.0, L_z=2.0,
                                  M=reference_level(spec, GEOM)))
