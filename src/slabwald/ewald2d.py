@@ -7,12 +7,16 @@ explicitly.  Results are produced per image level so that truncation sweeps
 cost one full evaluation: `icm_level_sweep` returns a `core.LevelSweep` and
 `energy_icm` reads level M from it.
 
-The Fourier sum skips, per in-plane mode h, the image blocks whose kernel is
-provably below a floor: both summands of G(h, z) are at most 2 e^{-h|z|}, so
-|G| and |G'/h| are at most 3 e^{-h|z|}, and a level-l image lies at least
-(l-1)H from every target.  Only levels l <= 1 + ln(1e18)/(hH) can add more
-than 3e-18 of the kernel's scale, and since the blocks are ordered by level
-they are a prefix of the block axis.
+The Fourier sum runs over shells of equal |h|, not over in-plane modes: the
+planewise kernel G(h, z) depends on |h| only, so each shell evaluates it once
+and folds its modes into (N, N) phase sums (one shell per distinct
+floating-point |h|, so this is the per-mode sum up to rounding).  Each shell
+skips the image blocks whose kernel is provably below a floor: both summands
+of G(h, z) are at most 2 e^{-h|z|}, so |G| and |G'/h| are at most
+3 e^{-h|z|}, and a level-l image lies at least (l-1)H from every target.
+Only levels l <= 1 + ln(1e18)/(hH) can add more than 3e-18 of the kernel's
+scale, and since the blocks are ordered by level they are a prefix of the
+block axis.
 
 All routines are pure functions of immutable inputs and safe to call
 concurrently.
@@ -184,15 +188,36 @@ def _real_space_levels(system, table, params, compute_forces):
     return _level_sums(table, coeff, pair_e, grad)
 
 
+def _add_shell(h, modes, pos, zd, alpha, pref, acc_e, acc):
+    """Add one shell of equal |h| to the Fourier accumulators over the blocks of zd.
+
+    modes (m, 2) holds the shell's (hx, hy); zd (N, K', N) the z separations
+    and acc_e (N, K', N), acc (3, N, K', N) or None the matching accumulator
+    views.  The kernel is evaluated once; the modes enter through the phase
+    sums C = sum cos(a_i - a_j) and S = sum (hx, hy) sin(a_i - a_j), with
+    a = hx x + hy y, each one small matmul over the shell's cos/sin table.
+    """
+    a = pos[:, :2] @ modes.T  # (N, m)
+    ca, sa = np.cos(a), np.sin(a)
+    c = pref * (ca @ ca.T + sa @ sa.T)[:, None]
+    tp, tm = g_alpha_terms(h, zd, alpha)
+    g = tp + tm
+    acc_e += c * g
+    if acc is not None:
+        for ax in (0, 1):
+            s_ax = (sa * modes[:, ax]) @ ca.T  # sum h_ax sin a_i cos a_j
+            acc[ax] -= (pref * (s_ax - s_ax.T))[:, None] * g
+        acc[2] += c * (h * (tp - tm))  # dG/dz = h (tp - tm)
+
+
 def _fourier_levels(system, table, params, compute_forces):
     """Per-level k!=0 Fourier energies/forces (planewise kernel sum).
 
-    Mode h evaluates only the blocks [:, :k_h] at levels <= 1 + ln(1e18)/(hH);
-    the kernel of every later block is below 3e-18 (module docstring).  Each
-    kept entry accumulates its modes in the same order as the full sum.
+    The modes are grouped into shells by the bitwise value of |h|.  Shell h
+    evaluates only the blocks [:, :k_h] at levels <= 1 + ln(1e18)/(hH); the
+    kernel of every later block is below 3e-18 (module docstring).
     """
     lx, ly = system.lx, system.ly
-    alpha = params.alpha
     pos = system.positions
     q = system.charges
     # full ordered double sum over (i, k, j): no 1/2 here, unlike the real-space term
@@ -200,29 +225,17 @@ def _fourier_levels(system, table, params, compute_forces):
     zd = pos[:, None, None, 2] - table.z
 
     hvecs = _half_plane_hvectors(lx, ly, params.k_c)
+    shells, shell_of = np.unique(np.hypot(hvecs[:, 0], hvecs[:, 1]), return_inverse=True)
     acc_e = np.zeros_like(zd)
     acc = np.zeros((3,) + zd.shape) if compute_forces else None
 
     base = 2.0 * math.pi / (2.0 * lx * ly)  # pi/(2 Lx Ly) times half-plane factor 2
-    for hx, hy in hvecs:
-        h = math.hypot(hx, hy)
+    for n, h in enumerate(shells):
         # blocks at levels above l_h lie >= (l_h - 1)H away: their kernel is below the floor
         l_h = 1.0 + LOG_INV_KERNEL_FLOOR / (h * system.height)
         k_h = np.searchsorted(table.level, l_h, side="right")
-        a = hx * pos[:, 0] + hy * pos[:, 1]
-        ca, sa = np.cos(a), np.sin(a)
-        cphase = (ca[:, None] * ca + sa[:, None] * sa)[:, None]  # cos(a_i - a_j), (N, 1, N)
-        tp, tm = g_alpha_terms(h, zd[:, :k_h], alpha)
-        g = tp + tm
-        pref = base / h
-        acc_e[:, :k_h] += (pref * cphase) * g
-        if compute_forces:
-            sphase = (sa[:, None] * ca - ca[:, None] * sa)[:, None]
-            gm = tp - tm  # dG/dz = h * gm
-            s_g = pref * sphase * g
-            acc[0, :, :k_h] += -hx * s_g
-            acc[1, :, :k_h] += -hy * s_g
-            acc[2, :, :k_h] += pref * cphase * (h * gm)
+        _add_shell(h, hvecs[shell_of == n], pos, zd[:, :k_h], params.alpha, base / h,
+                   acc_e[:, :k_h], None if acc is None else acc[:, :, :k_h])
 
     return _level_sums(table, coeff, acc_e, acc)
 

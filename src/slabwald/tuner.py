@@ -3,9 +3,10 @@
 Given a tolerance, the steps pick (in order) the image-series truncation level,
 the padded box height, and the splitting (s, alpha), each by inverting the
 corresponding closed-form error estimate: M and L_z are rounded up, and s is
-the smallest integer that meets it.  A last step picks the method from the
-walls: the exact z-periodic lattice at |gamma_u| = |gamma_d| = 1 with both
-corrections on, the padded box otherwise.  `select_all` runs the steps whose
+the smallest integer that meets it.  The method is picked from the walls
+before alpha: the exact z-periodic lattice at |gamma_u| = |gamma_d| = 1 with
+both corrections on, the padded box otherwise; only the padded box needs
+alpha's a_min floor.  `select_all` runs the steps whose
 fields the caller does not pin (a non-integer s is a pin), and returns the
 `EwaldParams` that `ewald3d.solve` runs, YB/ELC switches and method included,
 with that solve's budget.
@@ -151,7 +152,8 @@ def _select_s(req: ToleranceRequest) -> int:
 
 
 def select_method(req: ToleranceRequest, include_yb: bool, include_elc: bool) -> str:
-    """Last step: "lattice" iff |gamma_u| = |gamma_d| = 1 and both corrections are on.
+    """The step before alpha: "lattice" iff |gamma_u| = |gamma_d| = 1 and both
+    corrections are on.
 
     There the image series is exactly periodic in z (`core.lattice_period`),
     and one period in a cell of height 2H or 4H replaces M levels in a box of
@@ -178,11 +180,13 @@ def select_all(req: ToleranceRequest,
 
     The keyword pins are named after the `EwaldParams` fields.  A pinned value
     is kept as given, and only the remaining steps run, in order: M, L_z(M),
-    s (the smallest integer), alpha (`select_alpha`, with its a_min floor;
-    `alpha_policy` replaces the default policy), then the method
-    (`select_method`).  A lattice keeps the M and L_z of the padded rule,
-    which it does not read, so method="padded" returns the padded box with
-    the same M, L_z, s and alpha.  The budget is `total_budget` of the
+    s (the smallest integer), the method (`select_method`), then alpha
+    (`alpha_policy` replaces the default policy).  The padded box raises
+    alpha to `select_alpha`'s a_min floor; a lattice takes the policy's
+    alpha alone, as its cell has no gap and it reads neither L_z nor M.  A
+    lattice keeps the M and L_z of the padded rule, so method="padded"
+    returns the padded box with the same M, L_z and s, and the same alpha
+    wherever the floor does not bind.  The budget is `total_budget` of the
     returned params, which `ewald3d.solve` runs as they are, switches and
     method included.  Budget fields above epsilon are flagged
     informationally (magnitudes with unit constants routinely exceed a tight
@@ -195,10 +199,11 @@ def select_all(req: ToleranceRequest,
         L_z = select_Lz(req, M)
     if s is None:
         s = _select_s(req)
-    if alpha is None:
-        alpha = select_alpha(req, s, L_z, M, alpha_policy)
     if method is None:
         method = select_method(req, include_yb, include_elc)
+    if alpha is None:
+        alpha = ((alpha_policy or default_alpha_policy)(req, s) if method == "lattice"
+                 else select_alpha(req, s, L_z, M, alpha_policy))
     params = EwaldParams(alpha=alpha, s=s, L_z=float(L_z), M=M, include_yb=include_yb,
                          include_elc=include_elc, method=method)
     budget = total_budget(params, req.spec, req.geometry)

@@ -1,5 +1,6 @@
 """Loop forms of the in-plane mode list, the padded-box reciprocal sum and ELC,
-the unpruned ewald2d Fourier sum, and the spectral image-energy oracle.
+the ewald2d Fourier sum (per mode, and unpruned), and the spectral image-energy
+oracle.
 
 These are the per-mode Python loops that `ewald2d` and `ewald3d` replaced
 with array code (a masked grid, chunked contractions).  They are kept here,
@@ -12,10 +13,17 @@ level by level from the scalar image scales and offsets, so the oracles share
 nothing with the array code they check but ELC's cutoff: the ELC loop sums
 the modes up to `errors.elc_cutoff`, as `ewald3d.elc_correction` does.
 
-`fourier_levels_unpruned` is `ewald2d._fourier_levels` without its per-mode
-block prefix: it evaluates every (mode, image block) pair.  It shares the
-library's mode list, kernel and per-level reduction on purpose, so that a
-comparison isolates the skipped blocks.
+`fourier_levels_per_mode` is the loop form of `ewald2d._fourier_levels`:
+it evaluates the kernel once per in-plane mode of the loop mode list, on
+the same block prefix, instead of once per shell of equal |h|.  It shares
+the kernel, the floor and the per-level reduction with the library, but not
+the shell grouping or the phase sums.
+
+`fourier_levels_unpruned` is `ewald2d._fourier_levels` without its per-shell
+block prefix: it evaluates every (shell, image block) pair.  It shares the
+library's mode list, shell grouping, per-shell step (`ewald2d._add_shell`)
+and per-level reduction on purpose, so that a comparison isolates the
+skipped blocks.
 
 `spectral_image_energy` is an independent oracle for ewald2d's image
 contribution: the lattice Fourier expansion of the reflected-series Green's
@@ -35,8 +43,8 @@ import numpy as np
 from slabwald.core import (DomainError, EwaldParams, check_solvable, image_levels,
                            image_scales, image_z_offsets)
 from slabwald.errors import elc_cutoff, splitting_error
-from slabwald.ewald2d import (_half_plane_hvectors, _level_sums, energy_homogeneous,
-                              g_alpha_terms)
+from slabwald.ewald2d import (LOG_INV_KERNEL_FLOOR, _add_shell, _half_plane_hvectors,
+                              _level_sums, energy_homogeneous, g_alpha_terms)
 
 MAX_SPECTRAL_SHELLS = 20000  # mode shells `spectral_image_energy` sums before it gives up
 
@@ -211,8 +219,12 @@ def elc_correction_loop(system, spec, params, compute_forces=True):
     return np.cumsum(e_lv), f_lv
 
 
-def fourier_levels_unpruned(system, table, params, compute_forces):
-    """Per-level k != 0 Fourier energies/forces, every image block for every mode."""
+def fourier_levels_per_mode(system, table, params, compute_forces):
+    """Per-level k != 0 Fourier energies/forces, one in-plane mode at a time.
+
+    Mode h evaluates the kernel on the block prefix [:, :k_h] at levels
+    <= 1 + ln(1e18)/(hH), as `ewald2d._fourier_levels` does per shell.
+    """
     lx, ly = system.lx, system.ly
     alpha = params.alpha
     pos = system.positions
@@ -223,22 +235,41 @@ def fourier_levels_unpruned(system, table, params, compute_forces):
     acc_e = np.zeros_like(zd)
     acc = np.zeros((3,) + zd.shape) if compute_forces else None
     base = 2.0 * math.pi / (2.0 * lx * ly)
-    for hx, hy in _half_plane_hvectors(lx, ly, params.k_c):
+    for hx, hy in half_plane_hvectors_loop(lx, ly, params.k_c):
         h = math.hypot(hx, hy)
+        l_h = 1.0 + LOG_INV_KERNEL_FLOOR / (h * system.height)
+        k_h = np.searchsorted(table.level, l_h, side="right")
         a = hx * pos[:, 0] + hy * pos[:, 1]
         ca, sa = np.cos(a), np.sin(a)
-        cphase = (ca[:, None] * ca + sa[:, None] * sa)[:, None]
-        tp, tm = g_alpha_terms(h, zd, alpha)
+        cphase = (ca[:, None] * ca + sa[:, None] * sa)[:, None]  # cos(a_i - a_j), (N, 1, N)
+        tp, tm = g_alpha_terms(h, zd[:, :k_h], alpha)
         g = tp + tm
         pref = base / h
-        acc_e += (pref * cphase) * g
+        acc_e[:, :k_h] += (pref * cphase) * g
         if compute_forces:
             sphase = (sa[:, None] * ca - ca[:, None] * sa)[:, None]
-            gm = tp - tm
             s_g = pref * sphase * g
-            acc[0] += -hx * s_g
-            acc[1] += -hy * s_g
-            acc[2] += pref * cphase * (h * gm)
+            acc[0, :, :k_h] += -hx * s_g
+            acc[1, :, :k_h] += -hy * s_g
+            acc[2, :, :k_h] += pref * cphase * (h * (tp - tm))
+    return _level_sums(table, coeff, acc_e, acc)
+
+
+def fourier_levels_unpruned(system, table, params, compute_forces):
+    """Per-level k != 0 Fourier energies/forces, every image block for every shell."""
+    lx, ly = system.lx, system.ly
+    pos = system.positions
+    q = system.charges
+    coeff = q[:, None, None] * (table.weight[:, None] * q)
+    zd = pos[:, None, None, 2] - table.z
+
+    hvecs = _half_plane_hvectors(lx, ly, params.k_c)
+    shells, shell_of = np.unique(np.hypot(hvecs[:, 0], hvecs[:, 1]), return_inverse=True)
+    acc_e = np.zeros_like(zd)
+    acc = np.zeros((3,) + zd.shape) if compute_forces else None
+    base = 2.0 * math.pi / (2.0 * lx * ly)
+    for n, h in enumerate(shells):
+        _add_shell(h, hvecs[shell_of == n], pos, zd, params.alpha, base / h, acc_e, acc)
     return _level_sums(table, coeff, acc_e, acc)
 
 

@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from loop_oracles import (fourier_levels_unpruned, half_plane_hvectors_loop,
-                          spectral_image_energy)
+import loop_oracles
+from loop_oracles import (fourier_levels_per_mode, fourier_levels_unpruned,
+                          half_plane_hvectors_loop, spectral_image_energy)
 from slabwald import ewald2d, ewald3d
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
                            check_solvable)
@@ -230,7 +231,7 @@ def near_wall_cases(draw):
 @settings(max_examples=30, deadline=None)
 @given(case=near_wall_cases())
 def test_fourier_skips_only_blocks_below_the_kernel_floor(case):
-    """Each mode skips a block prefix's tail only where the kernel is below 3e-18.
+    """Each shell skips a block prefix's tail only where the kernel is below 3e-18.
 
     The sweep with skipped blocks has the unpruned sweep's energies at every
     level, bit for bit, and its forces within 1e-16 of max|F|.
@@ -256,6 +257,88 @@ def test_fourier_skips_only_blocks_below_the_kernel_floor(case):
         tp, tm = g_alpha_terms(h, zd[:, k_h:], params.alpha)
         assert np.abs(tp + tm).max(initial=0.0) <= 3e-18
         assert np.abs(tp - tm).max(initial=0.0) <= 3e-18  # G'(h, z) / h
+
+
+@st.composite
+def shell_cases(draw):
+    """A random neutral system, its walls, M and alpha, in a square or oblong cell.
+
+    The cell is 10 x 10, 10 x 3.7 (where only the +-hy mirror modes share a
+    shell) or random in [2, 4]^2, with H from 0.5 to 3; N = 3..5 charges, the
+    first two optionally within 1e-6 H of a wall; gamma_u and gamma_d in
+    [-1, 1] (exactly 0 and +-1 among them); M = 0..16, alpha from 0.5 to 1.5.
+    """
+    lx, ly = draw(st.one_of(st.sampled_from([(10.0, 10.0), (10.0, 3.7)]),
+                            st.tuples(st.floats(2.0, 4.0), st.floats(2.0, 4.0))))
+    h = draw(st.floats(0.5, 3.0))
+    n = draw(st.integers(3, 5))
+    unit = st.floats(0.0, 1.0)
+    near = st.one_of(st.floats(1e-9, 1e-6), unit)
+    z = [draw(near) * h, (1.0 - draw(near)) * h] + [draw(unit) * h for _ in range(n - 2)]
+    pos = np.array([[draw(unit) * lx, draw(unit) * ly, zi] for zi in z])
+    q = np.array([draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
+                  for _ in range(n - 1)])
+    system = ChargeSystem(pos, np.append(q, -q.sum()), (lx, ly, h))
+    gamma = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+    spec = DielectricSpec(draw(gamma), draw(gamma))
+    try:
+        check_solvable(system, spec)
+    except DomainError:  # on a wall, or two charges at one point
+        assume(False)
+    params = EwaldParams(alpha=draw(st.floats(0.5, 1.5)), s=4.0, L_z=2.0 * h,
+                         M=draw(st.integers(0, 16)))
+    return system, spec, params
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=shell_cases())
+def test_fourier_shell_sum_matches_the_per_mode_sum(case):
+    """Summing each |h| shell's modes into phase sums before the kernel multiplies
+    them changes only the rounding: at every level the energies and the forces
+    agree within 1e-14 of the term's scale.
+
+    The energy scale of level l is the sum of its summands' magnitudes: the
+    same sum with |q|, |gamma| and every phase 1 (all sources at x = y = 0),
+    as the kernel is positive.  The force scale weights each of those summands
+    by h, which bounds |hx|, |hy| and |G'| / G.  Where the summands cancel
+    (sources on one z axis), these, not the level energy or max|F|, bound the
+    rounding.
+    """
+    system, spec, params = case
+    table = build_image_table(system, spec, params.M)
+    e_shell, f_shell = _fourier_levels(system, table, params, True)
+    e_mode, f_mode = fourier_levels_per_mode(system, table, params, True)
+
+    on_axis = ChargeSystem(system.positions * [0.0, 0.0, 1.0], np.abs(system.charges),
+                           system.cell)
+    abs_table = build_image_table(on_axis, DielectricSpec(abs(spec.gamma_u),
+                                                          abs(spec.gamma_d)), params.M)
+    e_scale, _ = fourier_levels_per_mode(on_axis, abs_table, params, False)
+
+    def h_weighted(h, z, alpha):
+        return tuple(h * t for t in g_alpha_terms(h, z, alpha))
+
+    with mock.patch.object(loop_oracles, "g_alpha_terms", h_weighted):
+        f_scale, _ = fourier_levels_per_mode(on_axis, abs_table, params, False)
+    assert (np.abs(e_shell - e_mode) <= 1e-14 * e_scale).all()
+    assert (np.abs(f_shell - f_mode).max(axis=(1, 2)) <= 1e-14 * f_scale).all()
+
+
+@pytest.mark.parametrize("ly,alpha,modes,shells", [(10.0, 1.08, 296, 76),
+                                                   (3.7, 0.9, 79, 47)],
+                         ids=["10x10,k_c=8.64", "10x3.7,k_c=7.2"])
+def test_fourier_evaluates_the_kernel_once_per_shell(ly, alpha, modes, shells):
+    """One `_fourier_levels` call evaluates the kernel once per distinct |h|, not
+    once per half-plane mode."""
+    system = ChargeSystem(np.array([[1.3, 2.2, 0.35], [4.1, 0.9, 0.72]]),
+                          np.array([1.0, -1.0]), (10.0, ly, 1.0))
+    params = EwaldParams(alpha=alpha, s=4.0, L_z=2.0, M=4)
+    assert len(_half_plane_hvectors(10.0, ly, params.k_c)) == modes
+    table = build_image_table(system, DielectricSpec(0.6, -0.5), params.M)
+    with mock.patch.object(ewald2d, "g_alpha_terms", wraps=g_alpha_terms) as kernel:
+        _fourier_levels(system, table, params, True)
+    hs = [call.args[0] for call in kernel.call_args_list]
+    assert len(hs) == shells and len(set(hs)) == shells
 
 
 def test_spectral_oracle_fails_fast_near_a_wall():

@@ -578,6 +578,20 @@ def test_cli_runs_the_lattice_between_ideal_walls(tmp_path, capsys):
                     ["1", "1e-12", "5", "45", "90"]]
 
 
+def test_cli_lattice_ignores_a_pinned_Lz_and_M(tmp_path, capsys):
+    """At gamma = -1, --Lz 30 --M 38 leaves no gap above the padded box's image
+    stack, but the lattice reads neither: exit 0 with the unpinned energy."""
+    path = tmp_path / "sys.txt"
+    write_system(path, gen_system(1))
+    args = ["energy", str(path), "--solver", "ewald3d", "--gamma-u", "-1",
+            "--gamma-d", "-1", "--eps", "1e-10"]
+    assert cli_main(args) == 0
+    unpinned = capsys.readouterr().out
+    assert cli_main(args + ["--Lz", "30", "--M", "38"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (unpinned, "")
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "sweeps.cfg"
     cfg.write_text("[quick]\ngamma_u = 0.6\ngamma_d = 0.6\nsweep = M\n"

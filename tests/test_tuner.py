@@ -130,6 +130,33 @@ def test_alpha_floor_meets_epsilon_in_a_thin_metal_box():
     assert abs(res.energy - ref.energy) <= 10 * req.epsilon * abs(ref.energy)
 
 
+def test_lattice_alpha_reads_neither_the_pinned_Lz_nor_M():
+    """Metal walls at eps = 1e-10: the lattice takes the policy's alpha (5/3), not
+    the padded box's floor, whatever L_z and M are pinned.
+
+    Pinned L_z = 40, M = 38 once gave the lattice the floor's alpha = 4.8, and
+    L_z = 30, M = 38 (no gap above the image stack) raised.  The padded box
+    keeps both the floor and the DomainError.  The solves agree with the
+    unpinned lattice bit for bit (seed-1 input of metal_tight, with forces).
+    """
+    spec = DielectricSpec(-1.0, -1.0)
+    req = ToleranceRequest(1e-10, GEOM, spec)
+    tuned = select_all(req).params
+    assert (tuned.method, tuned.alpha) == ("lattice", default_alpha_policy(req, 5))
+    system = gen_system(1)
+    ref = ewald3d.solve(system, spec, tuned)
+    for lz in (40.0, 30.0):
+        p = select_all(req, L_z=lz, M=38).params
+        assert p == dataclasses.replace(tuned, L_z=lz)
+        res = ewald3d.solve(system, spec, p)
+        assert res.energy == ref.energy
+        np.testing.assert_array_equal(res.forces, ref.forces)
+    padded = select_all(req, L_z=40.0, M=38, method="padded").params
+    assert padded.alpha == math.sqrt(math.log(1e10))
+    with pytest.raises(DomainError, match="no gap"):
+        select_all(req, L_z=30.0, M=38, method="padded")
+
+
 @pytest.mark.parametrize("gamma,eps", [(0.6, 1e-8), (0.6, 1e-4), (-1.0, 1e-10)],
                          ids=["md_dense", "mc_loose", "metal_tight"])
 def test_select_all_budget_describes_the_default_solve(gamma, eps):
