@@ -16,7 +16,13 @@ of G(h, z) are at most 2 e^{-h|z|}, so |G| and |G'/h| are at most
 3 e^{-h|z|}, and a level-l image lies at least (l-1)H from every target.
 Only levels l <= 1 + ln(1e18)/(hH) can add more than 3e-18 of the kernel's
 scale, and since the blocks are ordered by level they are a prefix of the
-block axis.
+block axis.  Within that prefix the kernel runs once per distinct |z|, on
+the sorted values, and is gathered onto the (i, k, j) entries; G is even in
+z and its two summands swap exactly under z -> -z, so this is bit-identical
+to evaluating it per entry.
+
+Real space forms every (i, k, j) distance for every xy replica, so the sum
+stays dense, but evaluates erfc only on the distances within r_c.
 
 All routines are pure functions of immutable inputs and safe to call
 concurrently.
@@ -141,7 +147,13 @@ def _level_sums(table, coeff, kernel, grad):
 
 
 def _real_space_levels(system, table, params, compute_forces):
-    """Per-level real-space energies and forces (short-range erfc sum)."""
+    """Per-level real-space energies and forces (short-range erfc sum).
+
+    Every (target i, block k, source j) distance is formed for every xy
+    replica, so the sum stays dense; erfc and the force factor are evaluated
+    only on the distances within r_c (self pairs excluded) and scattered into
+    zero arrays, so the other entries add exactly 0.
+    """
     lx, ly = system.lx, system.ly
     alpha, r_c = params.alpha, params.r_c
     pos = system.positions
@@ -171,16 +183,17 @@ def _real_space_levels(system, table, params, compute_forces):
                 mask[diag, 0, diag] = False
             if not mask.any():
                 continue
-            r = np.sqrt(r2, where=mask, out=np.ones_like(r2))
-            phi = np.where(mask, erfc(alpha * r) / r, 0.0)
+            r2_hit = r2[mask]
+            r = np.sqrt(r2_hit)
+            phi_hit = erfc(alpha * r) / r
+            phi = np.zeros_like(r2)
+            phi[mask] = phi_hit
             pair_e += phi
             if compute_forces:
                 # d(phi)/dr / r, applied to the separation vector
-                safe_r2 = np.where(mask, r2, 1.0)
-                dphi_over_r = np.where(
-                    mask,
-                    -(phi + (2 * alpha / SQRT_PI) * np.exp(-(alpha * r) ** 2)) / safe_r2,
-                    0.0)
+                dphi_over_r = np.zeros_like(r2)
+                dphi_over_r[mask] = -(phi_hit + (2 * alpha / SQRT_PI)
+                                      * np.exp(-(alpha * r) ** 2)) / r2_hit
                 grad[0] += dphi_over_r * dx
                 grad[1] += dphi_over_r * dy
                 grad[2] += dphi_over_r * dz
@@ -188,26 +201,25 @@ def _real_space_levels(system, table, params, compute_forces):
     return _level_sums(table, coeff, pair_e, grad)
 
 
-def _add_shell(h, modes, pos, zd, alpha, pref, acc_e, acc):
-    """Add one shell of equal |h| to the Fourier accumulators over the blocks of zd.
+def _add_shell(modes, pos, g, dg, pref, acc_e, acc):
+    """Add one shell of equal |h| to the Fourier accumulators over a block prefix.
 
-    modes (m, 2) holds the shell's (hx, hy); zd (N, K', N) the z separations
+    modes (m, 2) holds the shell's (hx, hy); g (N, K', N) the kernel G(h, z)
+    on the prefix's z separations, dg its z-derivative (None without forces),
     and acc_e (N, K', N), acc (3, N, K', N) or None the matching accumulator
-    views.  The kernel is evaluated once; the modes enter through the phase
-    sums C = sum cos(a_i - a_j) and S = sum (hx, hy) sin(a_i - a_j), with
-    a = hx x + hy y, each one small matmul over the shell's cos/sin table.
+    views.  The modes enter through the phase sums C = sum cos(a_i - a_j) and
+    S = sum (hx, hy) sin(a_i - a_j), with a = hx x + hy y, each one small
+    matmul over the shell's cos/sin table.
     """
     a = pos[:, :2] @ modes.T  # (N, m)
     ca, sa = np.cos(a), np.sin(a)
     c = pref * (ca @ ca.T + sa @ sa.T)[:, None]
-    tp, tm = g_alpha_terms(h, zd, alpha)
-    g = tp + tm
     acc_e += c * g
     if acc is not None:
         for ax in (0, 1):
             s_ax = (sa * modes[:, ax]) @ ca.T  # sum h_ax sin a_i cos a_j
             acc[ax] -= (pref * (s_ax - s_ax.T))[:, None] * g
-        acc[2] += c * (h * (tp - tm))  # dG/dz = h (tp - tm)
+        acc[2] += c * dg
 
 
 def _fourier_levels(system, table, params, compute_forces):
@@ -215,26 +227,45 @@ def _fourier_levels(system, table, params, compute_forces):
 
     The modes are grouped into shells by the bitwise value of |h|.  Shell h
     evaluates only the blocks [:, :k_h] at levels <= 1 + ln(1e18)/(hH); the
-    kernel of every later block is below 3e-18 (module docstring).
+    kernel of every later block is below 3e-18 (module docstring).  The kernel
+    is evaluated once per distinct |z| of that prefix, in ascending order, and
+    gathered onto the (i, k, j) entries: G is even and G' odd in z, and
+    `g_alpha_terms(h, -z)` is `g_alpha_terms(h, z)` with its two terms swapped,
+    bit for bit, so the gathered values are the elementwise ones exactly.
     """
     lx, ly = system.lx, system.ly
     pos = system.positions
     q = system.charges
     # full ordered double sum over (i, k, j): no 1/2 here, unlike the real-space term
     coeff = q[:, None, None] * (table.weight[:, None] * q)
+    # entry (i, k, j) reads the kernel at u[inv[i, k, j]], u the distinct |z| ascending,
+    # and its z-derivative with the sign of z
     zd = pos[:, None, None, 2] - table.z
+    u, inv = np.unique(np.abs(zd), return_inverse=True)
+    inv = inv.reshape(zd.shape)
+    sign = np.sign(zd).astype(np.int8)
+    del zd  # not read again: one (N, K, N) float array less at the peak
+    # entries of u that the block prefix [:, :k] needs: u[:reach[k - 1]]
+    reach = np.maximum.accumulate(inv.max(axis=(0, 2))) + 1
 
     hvecs = _half_plane_hvectors(lx, ly, params.k_c)
     shells, shell_of = np.unique(np.hypot(hvecs[:, 0], hvecs[:, 1]), return_inverse=True)
-    acc_e = np.zeros_like(zd)
-    acc = np.zeros((3,) + zd.shape) if compute_forces else None
+    acc_e = np.zeros(inv.shape)
+    acc = np.zeros((3,) + inv.shape) if compute_forces else None
 
     base = 2.0 * math.pi / (2.0 * lx * ly)  # pi/(2 Lx Ly) times half-plane factor 2
     for n, h in enumerate(shells):
         # blocks at levels above l_h lie >= (l_h - 1)H away: their kernel is below the floor
         l_h = 1.0 + LOG_INV_KERNEL_FLOOR / (h * system.height)
         k_h = np.searchsorted(table.level, l_h, side="right")
-        _add_shell(h, hvecs[shell_of == n], pos, zd[:, :k_h], params.alpha, base / h,
+        tp, tm = g_alpha_terms(h, u[:reach[k_h - 1]], params.alpha)
+        near = inv[:, :k_h]
+        g = (tp + tm).take(near)
+        dg = None
+        if compute_forces:
+            dg = (h * (tp - tm)).take(near)  # dG/dz = h (tp - tm), odd in z
+            dg *= sign[:, :k_h]
+        _add_shell(hvecs[shell_of == n], pos, g, dg, base / h,
                    acc_e[:, :k_h], None if acc is None else acc[:, :, :k_h])
 
     return _level_sums(table, coeff, acc_e, acc)

@@ -1,6 +1,6 @@
 """Loop forms of the in-plane mode list, the padded-box reciprocal sum and ELC,
-the ewald2d Fourier sum (per mode, and unpruned), and the spectral image-energy
-oracle.
+the ewald2d Fourier sum (per mode, elementwise, and unpruned), ewald2d's
+masked real space, and the spectral image-energy oracle.
 
 These are the per-mode Python loops that `ewald2d` and `ewald3d` replaced
 with array code (a masked grid, chunked contractions).  They are kept here,
@@ -19,11 +19,19 @@ the same block prefix, instead of once per shell of equal |h|.  It shares
 the kernel, the floor and the per-level reduction with the library, but not
 the shell grouping or the phase sums.
 
-`fourier_levels_unpruned` is `ewald2d._fourier_levels` without its per-shell
-block prefix: it evaluates every (shell, image block) pair.  It shares the
-library's mode list, shell grouping, per-shell step (`ewald2d._add_shell`)
-and per-level reduction on purpose, so that a comparison isolates the
-skipped blocks.
+`fourier_levels_elementwise` is `ewald2d._fourier_levels` with the kernel
+evaluated on every (i, k, j) entry of each shell's block prefix
+(`add_shell_elementwise`), instead of once per distinct |z| and gathered.
+It shares the library's mode list, shell grouping, floor, phase sums
+(`ewald2d._add_shell`) and per-level reduction on purpose, so that a
+comparison isolates the gathering, which must be exact.
+`fourier_levels_unpruned` is the same loop without the block prefix: it
+evaluates every (shell, image block) pair, so that a comparison with the
+library isolates the skipped blocks.
+
+`real_space_levels_masked` is `ewald2d._real_space_levels` with erfc and
+the force factor evaluated on every distance and the entries beyond r_c
+masked to zero afterwards, instead of evaluated only within r_c.
 
 `spectral_image_energy` is an independent oracle for ewald2d's image
 contribution: the lattice Fourier expansion of the reflected-series Green's
@@ -39,11 +47,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erfc
 
 from slabwald.core import (DomainError, EwaldParams, check_solvable, image_levels,
-                           image_scales, image_z_offsets)
+                           image_scales, image_z_offsets, real_space_reach)
 from slabwald.errors import elc_cutoff, splitting_error
-from slabwald.ewald2d import (LOG_INV_KERNEL_FLOOR, _add_shell, _half_plane_hvectors,
+from slabwald.ewald2d import (LOG_INV_KERNEL_FLOOR, SQRT_PI, _add_shell, _half_plane_hvectors,
                               _level_sums, energy_homogeneous, g_alpha_terms)
 
 MAX_SPECTRAL_SHELLS = 20000  # mode shells `spectral_image_energy` sums before it gives up
@@ -255,8 +264,19 @@ def fourier_levels_per_mode(system, table, params, compute_forces):
     return _level_sums(table, coeff, acc_e, acc)
 
 
-def fourier_levels_unpruned(system, table, params, compute_forces):
-    """Per-level k != 0 Fourier energies/forces, every image block for every shell."""
+def add_shell_elementwise(h, modes, pos, zd, alpha, pref, acc_e, acc):
+    """`ewald2d._add_shell` on the kernel evaluated at every entry of zd (N, K', N)."""
+    tp, tm = g_alpha_terms(h, zd, alpha)
+    dg = None if acc is None else h * (tp - tm)  # dG/dz
+    _add_shell(modes, pos, tp + tm, dg, pref, acc_e, acc)
+
+
+def fourier_levels_elementwise(system, table, params, compute_forces, pruned=True):
+    """Per-level k != 0 Fourier energies/forces, the kernel evaluated per (i, k, j).
+
+    Shell h takes the block prefix [:, :k_h] of `ewald2d._fourier_levels`, or,
+    unless pruned, every block.
+    """
     lx, ly = system.lx, system.ly
     pos = system.positions
     q = system.charges
@@ -269,8 +289,61 @@ def fourier_levels_unpruned(system, table, params, compute_forces):
     acc = np.zeros((3,) + zd.shape) if compute_forces else None
     base = 2.0 * math.pi / (2.0 * lx * ly)
     for n, h in enumerate(shells):
-        _add_shell(h, hvecs[shell_of == n], pos, zd, params.alpha, base / h, acc_e, acc)
+        k_h = len(table.level)
+        if pruned:
+            l_h = 1.0 + LOG_INV_KERNEL_FLOOR / (h * system.height)
+            k_h = np.searchsorted(table.level, l_h, side="right")
+        add_shell_elementwise(h, hvecs[shell_of == n], pos, zd[:, :k_h], params.alpha,
+                              base / h, acc_e[:, :k_h], None if acc is None else acc[:, :, :k_h])
     return _level_sums(table, coeff, acc_e, acc)
+
+
+def fourier_levels_unpruned(system, table, params, compute_forces):
+    """Per-level k != 0 Fourier energies/forces, every image block for every shell."""
+    return fourier_levels_elementwise(system, table, params, compute_forces, pruned=False)
+
+
+def real_space_levels_masked(system, table, params, compute_forces):
+    """Per-level real-space energies and forces, erfc evaluated on every distance."""
+    lx, ly = system.lx, system.ly
+    alpha, r_c = params.alpha, params.r_c
+    pos = system.positions
+    q = system.charges
+    coeff = 0.5 * q[:, None, None] * (table.weight[:, None] * q)
+
+    dx0 = pos[:, None, None, 0] - pos[:, 0]
+    dy0 = pos[:, None, None, 1] - pos[:, 1]
+    dz = pos[:, None, None, 2] - table.z
+    dx0 = dx0 - lx * np.round(dx0 / lx)
+    dy0 = dy0 - ly * np.round(dy0 / ly)
+    _, mx_max, my_max = real_space_reach(r_c, system.cell)
+    diag = np.arange(system.n)
+
+    pair_e = np.zeros_like(dz)
+    grad = np.zeros((3,) + dz.shape) if compute_forces else None
+    for mx in range(-mx_max, mx_max + 1):
+        for my in range(-my_max, my_max + 1):
+            dx = dx0 + mx * lx
+            dy = dy0 + my * ly
+            r2 = dx * dx + dy * dy + dz * dz
+            mask = r2 <= r_c * r_c
+            if mx == 0 and my == 0:
+                mask[diag, 0, diag] = False
+            if not mask.any():
+                continue
+            r = np.sqrt(r2, where=mask, out=np.ones_like(r2))
+            phi = np.where(mask, erfc(alpha * r) / r, 0.0)
+            pair_e += phi
+            if compute_forces:
+                safe_r2 = np.where(mask, r2, 1.0)
+                dphi_over_r = np.where(
+                    mask,
+                    -(phi + (2 * alpha / SQRT_PI) * np.exp(-(alpha * r) ** 2)) / safe_r2,
+                    0.0)
+                grad[0] += dphi_over_r * dx
+                grad[1] += dphi_over_r * dy
+                grad[2] += dphi_over_r * dz
+    return _level_sums(table, coeff, pair_e, grad)
 
 
 def spectral_image_energy(system, spec, M_large, params=None, shell_rtol=1e-14):

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import loop_oracles
-from loop_oracles import (fourier_levels_per_mode, fourier_levels_unpruned,
-                          half_plane_hvectors_loop, spectral_image_energy)
+from loop_oracles import (fourier_levels_elementwise, fourier_levels_per_mode,
+                          fourier_levels_unpruned, half_plane_hvectors_loop,
+                          real_space_levels_masked, spectral_image_energy)
 from slabwald import ewald2d, ewald3d
 from slabwald.core import (ChargeSystem, DielectricSpec, DomainError, EwaldParams,
                            check_solvable)
@@ -82,6 +83,26 @@ def test_g_alpha_even_in_z():
     z = np.linspace(-3, 3, 13)
     np.testing.assert_allclose(g_alpha(1.3, z, 0.9), g_alpha(1.3, -z, 0.9),
                                rtol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(1e-3, 500.0), alpha=st.floats(0.05, 20.0), data=st.data())
+def test_g_alpha_terms_swap_under_z_reflection(h, alpha, data):
+    """g_alpha_terms(h, -z) is g_alpha_terms(h, z) with tp and tm swapped, bit
+    for bit: every operation in it maps exactly under z -> -z.  ewald2d's
+    Fourier sum evaluates the kernel on |z| only and relies on this.
+
+    z is drawn up to |z| = 1e3, with 0, subnormals and the points around
+    z = h/(2 alpha^2), where h/2a - a z changes sign, in both signs.
+    """
+    edge = h / (2.0 * alpha * alpha)
+    special = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, edge,
+                               np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)])
+    values = st.one_of(st.floats(-1e3, 1e3), special, special.map(lambda v: -v))
+    z = np.array(data.draw(st.lists(values, min_size=1, max_size=16)))
+    tp, tm = g_alpha_terms(h, z, alpha)
+    tp_neg, tm_neg = g_alpha_terms(h, -z, alpha)
+    assert np.array_equal(tp_neg, tm) and np.array_equal(tm_neg, tp)
 
 
 def test_g0_alpha_against_mpmath():
@@ -243,17 +264,15 @@ def test_fourier_skips_only_blocks_below_the_kernel_floor(case):
     np.testing.assert_array_equal(sweep.energies, full.energies)
     assert np.abs(sweep.forces - full.forces).max() <= 1e-16 * np.abs(full.forces).max()
 
-    kept = []
-
-    def recorded(h, z, alpha):
-        kept.append((h, z.shape[1]))
-        return g_alpha_terms(h, z, alpha)
-
     table = build_image_table(system, spec, params.M)
-    with mock.patch.object(ewald2d, "g_alpha_terms", recorded):
+    with mock.patch.object(ewald2d, "g_alpha_terms", wraps=g_alpha_terms) as kernel, \
+            mock.patch.object(ewald2d, "_add_shell", wraps=ewald2d._add_shell) as shell:
         _fourier_levels(system, table, params, True)
+    hs = [call.args[0] for call in kernel.call_args_list]
+    kept = [call.args[2].shape[1] for call in shell.call_args_list]  # g is (N, k_h, N)
+    assert len(hs) == len(kept)
     zd = system.positions[:, None, None, 2] - table.z
-    for h, k_h in kept:
+    for h, k_h in zip(hs, kept):
         tp, tm = g_alpha_terms(h, zd[:, k_h:], params.alpha)
         assert np.abs(tp + tm).max(initial=0.0) <= 3e-18
         assert np.abs(tp - tm).max(initial=0.0) <= 3e-18  # G'(h, z) / h
@@ -288,6 +307,63 @@ def shell_cases(draw):
     params = EwaldParams(alpha=draw(st.floats(0.5, 1.5)), s=4.0, L_z=2.0 * h,
                          M=draw(st.integers(0, 16)))
     return system, spec, params
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(shell_cases(), near_wall_cases()), compute_forces=st.booleans())
+def test_fourier_levels_match_the_elementwise_kernel_bit_for_bit(case, compute_forces):
+    """Evaluating the kernel once per distinct |z| and gathering it onto the
+    (i, k, j) entries gives the elementwise kernel's energies and forces bit
+    for bit."""
+    system, spec, params = case
+    table = build_image_table(system, spec, params.M)
+    e, f = _fourier_levels(system, table, params, compute_forces)
+    e_ref, f_ref = fourier_levels_elementwise(system, table, params, compute_forces)
+    assert np.array_equal(e, e_ref)
+    if compute_forces:
+        assert np.array_equal(f, f_ref)
+    else:
+        assert f is None and f_ref is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.one_of(shell_cases(), near_wall_cases()))
+def test_real_space_evaluates_erfc_only_within_r_c(case):
+    """`_real_space_levels` passes erfc exactly the (pair, replica) distances
+    within r_c, self pairs excluded, and its per-level results are those of
+    the form that evaluates erfc everywhere and masks, bit for bit.
+
+    The hits are counted here without the xy wrap, over every replica that
+    can lie within r_c."""
+    system, spec, params = case
+    table = build_image_table(system, spec, params.M)
+    with mock.patch.object(ewald2d, "erfc", wraps=ewald2d.erfc) as erfc:
+        e, f = _real_space_levels(system, table, params, True)
+    got = np.sort(np.concatenate([np.zeros(0)] + [c.args[0] for c in erfc.call_args_list]))
+
+    pos, r_c = system.positions, params.r_c
+    dz = pos[:, None, None, 2] - table.z
+    diag = np.arange(system.n)
+    want = []
+    reach_x = math.ceil(r_c / system.lx) + 1
+    reach_y = math.ceil(r_c / system.ly) + 1
+    for mx in range(-reach_x, reach_x + 1):
+        for my in range(-reach_y, reach_y + 1):
+            dx = pos[:, None, None, 0] - pos[:, 0] + mx * system.lx
+            dy = pos[:, None, None, 1] - pos[:, 1] + my * system.ly
+            r2 = dx * dx + dy * dy + dz * dz
+            hit = r2 <= r_c * r_c
+            if mx == my == 0:
+                hit[diag, 0, diag] = False
+            want.append(params.alpha * np.sqrt(r2[hit]))
+    want = np.sort(np.concatenate(want))
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    e_ref, f_ref = real_space_levels_masked(system, table, params, True)
+    assert np.array_equal(e, e_ref) and np.array_equal(f, f_ref)
+    e_only, _ = _real_space_levels(system, table, params, False)
+    assert np.array_equal(e_only, real_space_levels_masked(system, table, params, False)[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,7 +405,8 @@ def test_fourier_shell_sum_matches_the_per_mode_sum(case):
                          ids=["10x10,k_c=8.64", "10x3.7,k_c=7.2"])
 def test_fourier_evaluates_the_kernel_once_per_shell(ly, alpha, modes, shells):
     """One `_fourier_levels` call evaluates the kernel once per distinct |h|, not
-    once per half-plane mode."""
+    once per half-plane mode, each time on distinct |z| values in ascending
+    order."""
     system = ChargeSystem(np.array([[1.3, 2.2, 0.35], [4.1, 0.9, 0.72]]),
                           np.array([1.0, -1.0]), (10.0, ly, 1.0))
     params = EwaldParams(alpha=alpha, s=4.0, L_z=2.0, M=4)
@@ -339,6 +416,9 @@ def test_fourier_evaluates_the_kernel_once_per_shell(ly, alpha, modes, shells):
         _fourier_levels(system, table, params, True)
     hs = [call.args[0] for call in kernel.call_args_list]
     assert len(hs) == shells and len(set(hs)) == shells
+    for call in kernel.call_args_list:  # once per distinct |z|, ascending
+        z = call.args[1]
+        assert (z >= 0).all() and (np.diff(z) > 0).all()
 
 
 def test_spectral_oracle_fails_fast_near_a_wall():
